@@ -32,7 +32,6 @@ from .structure import (
 from .tensor import (
     MAX_DENSE_ENTRIES,
     DenseTensor,
-    EigenPair,
     add_identity_shift,
     contract,
     diagonal_similarity,
@@ -50,7 +49,6 @@ __all__ = [
     "DEFAULT_MAX_ITER",
     "DEFAULT_TOL",
     "DenseTensor",
-    "EigenPair",
     "IrreducibilityVerdict",
     "IterationState",
     "MAX_DENSE_ENTRIES",

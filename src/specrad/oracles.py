@@ -48,8 +48,9 @@ def power_iteration(
     (unit maximum entry) and evaluates the pointwise bracket at each new
     iterate; stops once the bracket closes to ``tol``.  For irreducible
     input the bracket contains the spectral radius throughout.  If an
-    iterate develops a zero component (possible for reducible input) the
-    last valid bracket is returned with ``converged=False``.
+    iterate's ``(m-1)``-th power develops a zero component (possible for
+    reducible input) the last valid bracket is returned with
+    ``converged=False``.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -65,7 +66,7 @@ def power_iteration(
         nxt = contract(a, x) ** root
         nxt /= nxt.max()
         iterations += 1
-        if (nxt == 0).any():
+        if (nxt ** (a.order - 1) == 0).any():
             return OracleEstimate(lower, upper, x, iterations, converged=False)
         lo, up = collatz_wielandt_bounds(a, nxt)
         x, lower, upper = nxt, lo, up

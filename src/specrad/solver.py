@@ -1,12 +1,17 @@
 """Row-sum balancing solver for the spectral radius of nonnegative tensors.
 
 The method: shift the input by ``alpha`` on the superdiagonal so every row
-sum is positive, then repeatedly apply the diagonal similarity with scaling
+sum is positive, then repeatedly rescale by the diagonal similarity with
 ``d[i] = R[i]**(1/(m-1))``, where ``R[i]`` are the current row sums.  Each
 sweep preserves the spectrum, pushes the minimum row sum up and the maximum
 down, and those two numbers bracket the spectral radius at every step.  When
 they meet, the common value is the spectral radius of the shifted tensor and
-the accumulated scalings recover a positive eigenvector.
+the accumulated scalings recover a positive eigenvector.  The balanced
+tensor is never formed: its row sums are the Collatz-Wielandt ratios
+``contract(A, x) / x**(m-1)`` of the shifted input ``A`` at the accumulated
+scaling ``x``, so the state is the length-n vector ``x`` and a sweep is one
+read-only contraction (the Ng-Qi-Zhou power iteration, SIAM J. Matrix
+Anal. Appl. 31, 2009).
 
 Iteration counters: state ``k`` counts balancing sweeps performed, while
 trace rows are numbered from 1 (row 1 holds the initial, unbalanced row-sum
@@ -15,13 +20,16 @@ extremes), so row ``k + 1`` describes the state after ``k`` sweeps.
 
 from __future__ import annotations
 
+import functools
+import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import IO, Union
 
 import numpy as np
 
-from .tensor import DenseTensor, add_identity_shift, contract, diagonal_similarity, row_sums
+from .tensor import DenseTensor, add_identity_shift, contract, row_sums
 
 DEFAULT_ALPHA = 1.0
 DEFAULT_TOL = 1e-7
@@ -45,19 +53,22 @@ class SolverConfig:
     trace: bool = True
 
     def __post_init__(self):
-        if not self.alpha >= 0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
+        if not (self.alpha >= 0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be finite and nonnegative, got {self.alpha}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class IterationState:
     """Snapshot after ``k`` balancing sweeps.
 
-    ``tensor`` is the current similar tensor, ``sums`` its row sums, and
+    ``tensor`` is the shifted input, built once by :func:`init_state` and
+    shared by every later state.  ``x`` is the accumulated scaling,
+    renormalised to unit maximum entry; the balanced tensor is
+    ``diagonal_similarity(tensor, x)``, ``sums`` are its row sums and
     ``upper``/``lower`` their extremes (the certified bracket).  The
     ``accumulator`` carries the entrywise product of all scaling ratios
     ``(sums[i] / upper)**(1/(m-1))`` seen so far; at convergence it is the
@@ -65,6 +76,7 @@ class IterationState:
     """
 
     tensor: DenseTensor
+    x: np.ndarray
     sums: np.ndarray
     upper: float
     lower: float
@@ -121,19 +133,11 @@ def _trace_row(state: IterationState) -> TraceRow:
     )
 
 
-def _state_from(tensor: DenseTensor, accumulator: np.ndarray, k: int) -> IterationState:
-    sums = row_sums(tensor)
+def _state_from(tensor, x, sums, accumulator, k) -> IterationState:
     upper = float(sums.max())
     lower = float(sums.min())
     ratios = (sums / upper) ** (1.0 / (tensor.order - 1))
-    return IterationState(
-        tensor=tensor,
-        sums=sums,
-        upper=upper,
-        lower=lower,
-        accumulator=accumulator * ratios,
-        k=k,
-    )
+    return IterationState(tensor, x, sums, upper, lower, accumulator * ratios, k)
 
 
 def init_state(b: DenseTensor, config: SolverConfig) -> IterationState:
@@ -151,21 +155,32 @@ def init_state(b: DenseTensor, config: SolverConfig) -> IterationState:
             f"row {row} of the shifted tensor has zero row sum; "
             "use a positive alpha or remove zero rows"
         )
-    return _state_from(shifted, np.ones(b.dim), 0)
+    return _state_from(shifted, np.ones(b.dim), sums, np.ones(b.dim), 0)
+
+
+def _balance(state: IterationState) -> tuple[np.ndarray, np.ndarray]:
+    """Scaling after one more sweep (unit maximum) and its row sums."""
+    m = state.tensor.order
+    x = state.x * state.sums ** (1.0 / (m - 1))
+    x /= x.max()
+    powered = x ** (m - 1)
+    if powered.min() < np.finfo(float).tiny:
+        raise FloatingPointError("the (m-1)-th power of the scaling underflowed")
+    return x, contract(state.tensor, x) / powered
 
 
 def step(state: IterationState) -> IterationState:
     """One balancing sweep: rescale so the current row sums equalize.
 
-    Applies the diagonal similarity with ``d[i] = sums[i]**(1/(m-1))``,
-    recomputes the bracket and folds the new row-sum ratios into the
-    eigenvector accumulator.  The new bracket is nested inside the old one.
-    A constant-row-sum state is a fixed point (up to rounding).
+    Folds ``d[i] = sums[i]**(1/(m-1))`` into ``x``, takes the new row sums
+    ``contract(tensor, x) / x**(m-1)`` in one read-only pass and folds their
+    ratios into the eigenvector accumulator.  The new bracket is nested
+    inside the old one.  A constant-row-sum state is a fixed point (up to
+    rounding).  Raises ``FloatingPointError`` once ``x**(m-1)`` leaves the
+    normal range, where the row sums would lose their digits.
     """
-    m = state.tensor.order
-    scaling = state.sums ** (1.0 / (m - 1))
-    rescaled = diagonal_similarity(state.tensor, scaling)
-    return _state_from(rescaled, state.accumulator, state.k + 1)
+    x, sums = _balance(state)
+    return _state_from(state.tensor, x, sums, state.accumulator, state.k + 1)
 
 
 def residual(a: DenseTensor, value: float, vector) -> float:
@@ -184,18 +199,19 @@ def contraction_factor(state: IterationState) -> float:
     the index tuples where row ``s`` carries at least the normalized weight
     of row ``t``, the factor is one minus the complementary mass
     ``(sum of a[s, tau] off J + sum of a[t, tau] on J) / upper``.
-    Undefined (raises) when the row sums are already constant.
+    Undefined (raises) when the row sums are already constant.  Rows ``s``
+    and ``t`` of the balanced tensor are rescaled from ``tensor`` on the fly.
     """
     if not state.upper > state.lower:
         raise ValueError("row sums are constant; contraction factor is undefined")
-    tensor, sums = state.tensor, state.sums
+    tensor, x, sums = state.tensor, state.x, state.sums
     m = tensor.order
-    scaling = sums ** (1.0 / (m - 1))
-    next_sums = contract(tensor, scaling) / sums
+    _, next_sums = _balance(state)
     s = int(np.argmax(next_sums))
     t = int(np.argmin(next_sums))
-    row_s = tensor.data[s].reshape(-1)
-    row_t = tensor.data[t].reshape(-1)
+    weights = functools.reduce(np.multiply.outer, [x] * (m - 1)).reshape(-1)
+    row_s = tensor.data[s].reshape(-1) * weights / x[s] ** (m - 1)
+    row_t = tensor.data[t].reshape(-1) * weights / x[t] ** (m - 1)
     on_j = row_s / sums[s] >= row_t / sums[t]
     mass = row_s[~on_j].sum() + row_t[on_j].sum()
     return float(1.0 - mass / state.upper)
@@ -206,7 +222,10 @@ def solve(b: DenseTensor, config: SolverConfig | None = None) -> SolveReport:
 
     Stops when the gap drops to ``config.tol`` or after ``config.max_iter``
     sweeps; running out of sweeps is reported with ``converged=False``
-    rather than raised, since reducible inputs may legitimately stall.
+    rather than raised, since reducible inputs may legitimately stall.  A
+    reducible input can also drive a scaling entry towards zero; once its
+    ``(m-1)``-th power underflows the run stops early, unconverged, with
+    the last bracket it could certify.
     The residual is evaluated on the shifted input tensor, against which
     the accumulator is an (approximate) eigenvector.
     """
@@ -215,7 +234,10 @@ def solve(b: DenseTensor, config: SolverConfig | None = None) -> SolveReport:
     shifted = state.tensor
     trace = [_trace_row(state)] if cfg.trace else []
     while state.gap > cfg.tol and state.k < cfg.max_iter:
-        state = step(state)
+        try:
+            state = step(state)
+        except FloatingPointError:
+            break
         if cfg.trace:
             trace.append(_trace_row(state))
     gap = state.gap

@@ -8,8 +8,6 @@ so instances are safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Guard for constructors that allocate from user-supplied sizes (roughly
@@ -58,13 +56,6 @@ class DenseTensor:
         """Flat read-only view, lexicographic in the multi-index."""
         return self._data.reshape(-1)
 
-    def __add__(self, other):
-        if not isinstance(other, DenseTensor):
-            return NotImplemented
-        if other.data.shape != self._data.shape:
-            raise ValueError("cannot add tensors of different shapes")
-        return DenseTensor(self._data + other.data)
-
     def __eq__(self, other):
         if not isinstance(other, DenseTensor):
             return NotImplemented
@@ -74,20 +65,6 @@ class DenseTensor:
 
     def __repr__(self):
         return f"DenseTensor(order={self.order}, dim={self.dim})"
-
-
-@dataclass(frozen=True, eq=False)
-class EigenPair:
-    """An eigenvalue and its eigenvector; the vector must not be all zero."""
-
-    value: float
-    vector: np.ndarray
-
-    def __post_init__(self):
-        vec = np.asarray(self.vector, dtype=float)
-        if vec.ndim != 1 or not np.any(vec):
-            raise ValueError("eigenvector must be a nonzero 1-d vector")
-        object.__setattr__(self, "vector", vec)
 
 
 def _check_vector(a: DenseTensor, x, name: str = "x") -> np.ndarray:

@@ -55,6 +55,13 @@ def sparse_tensor(order: int, dim: int, seed: int, density: float = 0.3) -> Dens
     return DenseTensor(values * mask)
 
 
+def empty_row_tensor() -> DenseTensor:
+    """Seeded dense (4, 3) tensor whose first row is all zero (reducible)."""
+    data = np.random.default_rng(0).uniform(0.0, 10.0, size=(4, 4, 4))
+    data[0] = 0.0
+    return DenseTensor(data)
+
+
 def positive_matrix(dim: int, seed: int) -> DenseTensor:
     rng = np.random.default_rng(seed)
     return DenseTensor(rng.uniform(0.1, 10.0, size=(dim, dim)))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import empty_row_tensor
 from specrad import (
     DenseTensor,
     SolverConfig,
@@ -55,6 +56,16 @@ class TestPowerIteration:
         assert not estimate.converged
         assert estimate.lower <= estimate.upper
         assert (estimate.vector > 0).all()
+
+    def test_underflowing_power_keeps_a_finite_bracket(self):
+        # the empty row's ratio stays at the shift while its component
+        # decays; its square underflows to zero before the component does
+        b = empty_row_tensor()
+        estimate = power_iteration(add_identity_shift(b, 1.0))
+        assert np.isfinite([estimate.lower, estimate.upper]).all()
+        assert not estimate.converged
+        report = solve(b)
+        assert max(estimate.lower, report.lower) <= min(estimate.upper, report.upper)
 
     def test_vector_is_normalized_to_unit_max(self, golden):
         estimate = power_iteration(add_identity_shift(golden, 1.0))

@@ -10,6 +10,7 @@ from conftest import (
     GOLDEN_RHO,
     GOLDEN_TRACE,
     contraction_factor_loops,
+    empty_row_tensor,
     golden_b,
     sparse_tensor,
 )
@@ -18,6 +19,7 @@ from specrad import (
     SolverConfig,
     add_identity_shift,
     contraction_factor,
+    diagonal_similarity,
     identity_tensor,
     init_state,
     power_iteration,
@@ -45,6 +47,10 @@ class TestSolverConfig:
             SolverConfig(max_iter=0)
         with pytest.raises(ValueError, match="alpha"):
             SolverConfig(alpha=-0.5)
+        with pytest.raises(ValueError, match="alpha"):
+            SolverConfig(alpha=float("inf"))
+        with pytest.raises(ValueError, match="max_iter"):
+            SolverConfig(max_iter=2.5)
 
 
 class TestInitState:
@@ -85,13 +91,14 @@ class TestStep:
     def test_constant_row_sums_are_a_fixed_point(self):
         state = init_state(DenseTensor(np.ones((2, 2, 2))), SolverConfig())
         after = step(state)
-        assert after.tensor.data == pytest.approx(state.tensor.data, rel=1e-12)
+        assert after.x == pytest.approx(state.x, rel=1e-12)
         assert after.lower == pytest.approx(after.upper, rel=1e-12)
 
     def test_sums_always_recomputable(self):
         state = init_state(golden_b(), SolverConfig())
         for _ in range(5):
-            assert np.array_equal(row_sums(state.tensor), state.sums)
+            balanced = diagonal_similarity(state.tensor, state.x)
+            assert row_sums(balanced) == pytest.approx(state.sums, rel=1e-12)
             state = step(state)
 
     @settings(max_examples=25, deadline=None)
@@ -216,6 +223,28 @@ class TestSolveGeneral:
         two = solve(b, SolverConfig(alpha=2.0))
         assert abs(one.rho - two.rho) <= 1e-5
 
+    def test_sweep_loop_builds_no_tensor(self, monkeypatch):
+        b = random_tensor(3, 10, seed=4)
+        built = []
+        original = DenseTensor.__init__
+
+        def counting(self, data):
+            built.append(np.shape(data))
+            original(self, data)
+
+        monkeypatch.setattr(DenseTensor, "__init__", counting)
+        report = solve(b)
+        assert report.iterations > 1
+        assert built == [(10, 10, 10)]
+
+    def test_underflowing_scaling_stops_unconverged(self):
+        # the empty row keeps ratio alpha while its scaling entry decays
+        report = solve(empty_row_tensor(), SolverConfig(max_iter=5000))
+        assert not report.converged
+        assert 100 < report.iterations < 5000
+        assert report.lower == 1.0
+        assert np.isfinite(report.upper) and report.upper > report.lower
+
     def test_matrix_case_agrees_with_dense_eigensolver(self):
         for seed in range(10):
             m = np.random.default_rng(seed).uniform(0.1, 10.0, size=(5, 5))
@@ -274,9 +303,14 @@ class TestContractionFactor:
         order, dim = shape
         state = init_state(random_tensor(order, dim, seed), SolverConfig())
         assume(state.gap > 1e-9)
-        assert contraction_factor(state) == pytest.approx(
-            contraction_factor_loops(state.tensor, state.sums), rel=1e-9
-        )
+        for _ in range(4):
+            if state.gap <= 1e-9:
+                break
+            balanced = diagonal_similarity(state.tensor, state.x)
+            assert contraction_factor(state) == pytest.approx(
+                contraction_factor_loops(balanced, state.sums), rel=1e-9
+            )
+            state = step(state)
 
     @settings(max_examples=25, deadline=None)
     @given(shape=shapes, seed=seeds)
