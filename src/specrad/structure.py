@@ -43,38 +43,56 @@ def _is_reducing(b: DenseTensor, inside: tuple[int, ...]) -> bool:
     return all(not np.any(b.data[i][pick]) for i in inside)
 
 
-def _reachable(positive: np.ndarray, start: int, n: int, m: int) -> set[int]:
-    """Grow the support from ``{start}``: a row joins once one of its
-    positive index tuples lies entirely inside the current set."""
-    support = {start}
-    while len(support) < n:
-        pick = np.ix_(*([sorted(support)] * (m - 1)))
-        added = {
-            i for i in range(n) if i not in support and bool(positive[i][pick].any())
-        }
-        if not added:
-            break
-        support |= added
-    return support
+def _reached(b: DenseTensor) -> np.ndarray:
+    """Row ``s`` marks the indices reached from the singleton start ``{s}``.
+
+    Counter-based forward chaining (Dowling--Gallier Horn-SAT): every index
+    tuple ``(i2..im)`` carrying a positive entry keeps a count of its
+    distinct indices not yet reached.  Reaching an index decrements the
+    count of each tuple that contains it; a tuple whose count hits zero
+    reaches every row that is positive on it.
+    """
+    n = b.dim
+    positive = b.data.reshape(n, -1) > 0
+    live = np.flatnonzero(positive.any(axis=0))
+    rows_by_tuple = np.ascontiguousarray(positive[:, live].T)
+    member = np.zeros((n, live.size), dtype=bool)
+    for digits in np.unravel_index(live, (n,) * (b.order - 1)):
+        member[digits, np.arange(live.size)] = True
+    need = member.sum(axis=0)
+
+    reached = np.zeros((n, n), dtype=bool)
+    for start in range(n):
+        done = reached[start]
+        done[start] = True
+        missing = need.copy()
+        frontier = [start]
+        while len(frontier) and not done.all():
+            hits = member[frontier].sum(axis=0)
+            missing -= hits
+            fired = (missing == 0) & (hits > 0)
+            new = rows_by_tuple[fired].any(axis=0) & ~done
+            done |= new
+            frontier = np.flatnonzero(new)
+    return reached
 
 
 def irreducible_iterative(b: DenseTensor) -> IrreducibilityVerdict:
     """Decide irreducibility by support propagation.
 
-    The nonnegative iteration ``x -> (b + identity) x**(m-1)`` moves the
-    support of ``x`` exactly as ``_reachable`` does, and the support of any
-    nonzero start contains a singleton, so the tensor is irreducible iff
-    every singleton start reaches full support.  A stalled start certifies
-    reducibility: the complement of its reachable set is a witness (the
-    smallest such complement is returned, and re-verified before return).
+    The nonnegative iteration ``x -> (b + identity) x**(m-1)`` grows the
+    support of ``x`` by every row with a positive tuple inside the current
+    support, and the support of any nonzero start contains a singleton, so
+    the tensor is irreducible iff every singleton start reaches full
+    support.  Each start is propagated by counter-based forward chaining
+    (``_reached``) in at most ``n`` rounds; with ``L <= n**(m-1)`` index
+    tuples carrying a positive entry, a start costs ``O(n * L)`` elementwise
+    work, ``O(n**(m+1))`` for all starts on a dense tensor.  A stalled start
+    certifies reducibility: the complement of its reachable set is a witness
+    (the lexicographically smallest such complement is returned, and
+    re-verified before return).
     """
-    n, m = b.dim, b.order
-    positive = b.data > 0
-    witnesses = []
-    for start in range(n):
-        reached = _reachable(positive, start, n, m)
-        if len(reached) < n:
-            witnesses.append(tuple(sorted(set(range(n)) - reached)))
+    witnesses = [tuple(np.flatnonzero(~row).tolist()) for row in _reached(b) if not row.all()]
     if not witnesses:
         return IrreducibilityVerdict(irreducible=True)
     witness = min(witnesses)

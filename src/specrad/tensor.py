@@ -140,6 +140,17 @@ def add_identity_shift(b: DenseTensor, alpha: float) -> DenseTensor:
     return DenseTensor(out)
 
 
+def exceeds_entry_cap(order: int, dim: int, max_entries: int) -> bool:
+    """Whether ``dim**order > max_entries``, without building a huge power.
+
+    For ``dim >= 2`` the power is at least ``2**order``, which exceeds the
+    cap as soon as ``order`` passes the cap's bit length.
+    """
+    if dim >= 2 and order > max_entries.bit_length():
+        return True
+    return dim**order > max_entries
+
+
 def identity_tensor(order: int, dim: int, weight: float = 1.0) -> DenseTensor:
     """Tensor with ``weight`` on the superdiagonal and zeros elsewhere."""
     return add_identity_shift(DenseTensor(np.zeros((dim,) * order)), weight)
@@ -161,8 +172,9 @@ def random_tensor(
         raise ValueError(f"order must be >= 2, got {order}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    count = dim**order
-    if count > max_entries:
+    if exceeds_entry_cap(order, dim, max_entries):
+        # spell the count out only when it is cheap to build
+        count = dim**order if order <= max_entries.bit_length() else f"{dim}**{order}"
         raise ValueError(
             f"random tensor with dim={dim}, order={order} needs {count} entries, "
             f"exceeding the cap of {max_entries}"

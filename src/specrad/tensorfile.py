@@ -9,16 +9,24 @@ Format::
 The header gives order and dimension; every following non-blank line sets
 one entry at a 1-based multi-index.  Omitted positions are zero and a
 repeated index tuple is a hard parse error (never last-one-wins).
+
+Reading parses the whole body in one ``np.loadtxt`` pass and validates the
+index and value arrays in bulk.  Any input that pass rejects (or warns
+about) is parsed again line by line; that per-line pass is the only source
+of :class:`ParseError` and its line number, and it also accepts the few
+spellings ``int``/``float`` take but ``loadtxt`` does not (``1_0``,
+non-ASCII digits), with the same result.
 """
 
 from __future__ import annotations
 
 import os
-from typing import IO, Union
+import warnings
+from typing import IO, Optional, Union
 
 import numpy as np
 
-from .tensor import MAX_DENSE_ENTRIES, DenseTensor
+from .tensor import MAX_DENSE_ENTRIES, DenseTensor, exceeds_entry_cap
 
 PathOrFile = Union[str, os.PathLike, IO[str]]
 
@@ -48,22 +56,34 @@ def _parse_header(lines) -> tuple[int, int]:
     return order, dim
 
 
-def read_tensor(source: PathOrFile, max_entries: int = MAX_DENSE_ENTRIES) -> DenseTensor:
-    """Parse a tensor from a path or text file object.
+def _parse_bulk(lines: list[str], order: int, dim: int) -> Optional[np.ndarray]:
+    """Entries of ``lines[1:]``, or None if any line is not plainly valid."""
+    fields = [(f"i{k}", np.int64) for k in range(order)] + [("value", np.float64)]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, dtype=fields, comments=None, skiprows=1, ndmin=1)
+    except (ValueError, OverflowError, Warning):
+        return None
+    index = tuple(table[f"i{k}"] - 1 for k in range(order))
+    values = table["value"]
+    if any(((i < 0) | (i >= dim)).any() for i in index):
+        return None
+    if not np.isfinite(values).all() or (values < 0).any():
+        return None
+    shape = (dim,) * order
+    flat = np.ravel_multi_index(index, shape)
+    seen = np.zeros(dim**order, dtype=bool)
+    seen[flat] = True
+    if np.count_nonzero(seen) != flat.size:
+        return None
+    data = np.zeros(dim**order)
+    data[flat] = values
+    return data.reshape(shape)
 
-    Raises :class:`ParseError` (with the line number) on malformed input.
-    """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, encoding="utf-8") as handle:
-            text = handle.read()
 
-    lines = text.splitlines()
-    order, dim = _parse_header(lines)
-    if dim**order > max_entries:
-        raise ParseError(1, f"{dim}**{order} entries exceed the cap of {max_entries}")
-
+def _parse_lines(lines: list[str], order: int, dim: int) -> np.ndarray:
+    """Entries of ``lines[1:]``, checked one line at a time."""
     data = np.zeros((dim,) * order)
     seen: set[tuple[int, ...]] = set()
     for lineno, line in enumerate(lines[1:], start=2):
@@ -93,6 +113,28 @@ def read_tensor(source: PathOrFile, max_entries: int = MAX_DENSE_ENTRIES) -> Den
             raise ParseError(lineno, f"duplicate index tuple {index}")
         seen.add(index)
         data[tuple(i - 1 for i in index)] = value
+    return data
+
+
+def read_tensor(source: PathOrFile, max_entries: int = MAX_DENSE_ENTRIES) -> DenseTensor:
+    """Parse a tensor from a path or text file object.
+
+    Raises :class:`ParseError` (with the line number) on malformed input.
+    """
+    if hasattr(source, "read"):
+        text = source.read()
+    else:
+        with open(source, encoding="utf-8") as handle:
+            text = handle.read()
+
+    lines = text.splitlines()
+    order, dim = _parse_header(lines)
+    if exceeds_entry_cap(order, dim, max_entries):
+        raise ParseError(1, f"{dim}**{order} entries exceed the cap of {max_entries}")
+
+    data = _parse_bulk(lines, order, dim)
+    if data is None:
+        data = _parse_lines(lines, order, dim)
     return DenseTensor(data)
 
 
@@ -101,13 +143,12 @@ def write_tensor(tensor: DenseTensor, dest: PathOrFile) -> None:
 
     Values are rendered with ``repr`` so a read back is bit-identical.
     """
-    lines = [f"{tensor.order} {tensor.dim}"]
     nonzero = np.nonzero(tensor.data)
-    for index in zip(*nonzero):
-        value = float(tensor.data[index])
-        coords = " ".join(str(i + 1) for i in index)
-        lines.append(f"{coords} {value!r}")
-    text = "\n".join(lines) + "\n"
+    labels = [f"{i} " for i in range(1, tensor.dim + 1)]
+    columns = [[labels[i] for i in axis.tolist()] for axis in nonzero]
+    values = map(repr, tensor.data[nonzero].tolist())
+    rows = map("".join, zip(*columns, values))
+    text = "\n".join([f"{tensor.order} {tensor.dim}", *rows]) + "\n"
     if hasattr(dest, "write"):
         dest.write(text)
     else:

@@ -93,6 +93,12 @@ class TestCheckCommand:
         path.write_text("nope\n")
         assert main(["check", str(path)]) == 1
 
+    def test_huge_header_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("20000000 1000\n")
+        assert main(["check", str(path)]) == 1
+        assert "line 1" in capsys.readouterr().err
+
 
 class TestRandomCommand:
     def test_out_roundtrips_bit_identical(self, tmp_path):
@@ -110,6 +116,10 @@ class TestRandomCommand:
         assert main(["random", "--m", "3", "--n", "10000", "--seed", "0"]) == 1
         err = capsys.readouterr().err
         assert "10000" in err and "3" in err
+
+    def test_huge_order_exits_one(self, capsys):
+        assert main(["random", "--m", "20000000", "--n", "1000"]) == 1
+        assert "cap" in capsys.readouterr().err
 
 
 class TestBenchCommand:

@@ -44,17 +44,48 @@ class TestIterative:
         assert irreducible_iterative(DenseTensor([[5.0]])).irreducible
 
     def test_support_growth_and_permanent_stall(self):
-        from specrad.structure import _reachable
+        from specrad.structure import _reached
 
-        positive = golden_b().data > 0
+        golden = golden_b()
+        reached = [set(np.flatnonzero(row).tolist()) for row in _reached(golden)]
         # rows 1 and 2 feed each other and row 3 feeds off row 1, so those
         # starts reach full support; index 3 receives nothing from itself
-        assert _reachable(positive, 0, 3, 3) == {0, 1, 2}
-        assert _reachable(positive, 1, 3, 3) == {0, 1, 2}
-        assert _reachable(positive, 2, 3, 3) == {2}
+        assert reached == [{0, 1, 2}, {0, 1, 2}, {2}]
         # a stalled set stays stalled: one more propagation round adds nothing
+        positive = golden.data > 0
         pick = np.ix_([2], [2])
         assert not any(positive[i][pick].any() for i in (0, 1))
+
+
+def chain(n: int, m: int, cyclic: bool) -> DenseTensor:
+    """Row ``i`` is positive only at ``(i, i+1, ..., i+1)``; the open chain
+    leaves the last row empty."""
+    data = np.zeros((n,) * m)
+    rows = np.arange(n if cyclic else n - 1)
+    data[(rows,) + ((rows + 1) % n,) * (m - 1)] = 1.0
+    return DenseTensor(data)
+
+
+class TestChains:
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_cyclic_chain_is_irreducible(self, m):
+        assert irreducible_iterative(chain(40, m, cyclic=True)).irreducible
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_open_chain_witness_is_everything_but_the_first_index(self, m):
+        # no row is positive on (1, ..., 1), so start 1 reaches only itself,
+        # and its complement is the lexicographically smallest one
+        t = chain(40, m, cyclic=False)
+        verdict = irreducible_iterative(t)
+        assert not verdict.irreducible
+        assert verdict.witness == tuple(range(2, 41))
+        assert reducing_subset_ok(t, verdict.witness)
+
+    @pytest.mark.parametrize("shape", [(70, 3), (20, 4), (8, 6)])
+    def test_dense_random_tensors_are_irreducible(self, shape):
+        n, m = shape
+        verdict = irreducible_iterative(random_tensor(m, n, seed=5))
+        assert verdict.irreducible and verdict.witness is None
 
 
 class TestBruteForce:

@@ -235,6 +235,19 @@ class TestRandomTensor:
         with pytest.raises(ValueError, match="cap"):
             random_tensor(2, 4, seed=0, max_entries=15)
 
+    def test_entry_cap_is_decided_without_the_power(self):
+        # 1000**20000000 has 60 million digits; the cap check must not build it
+        with pytest.raises(ValueError, match="needs 1000\\*\\*20000000 entries, exceeding the cap"):
+            random_tensor(20_000_000, 1000, seed=0)
+
+    def test_cap_shortcut_agrees_with_the_power(self):
+        from specrad.tensor import exceeds_entry_cap
+
+        for cap in (1, 15, 16, 17, 50_000_000):
+            for dim in (1, 2, 3, 10):
+                for order in range(1, 40):
+                    assert exceeds_entry_cap(order, dim, cap) == (dim**order > cap)
+
     def test_bad_shape_arguments(self):
         with pytest.raises(ValueError, match="order"):
             random_tensor(1, 3, seed=0)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import golden_file_text, sparse_tensor
-from specrad import ParseError, random_tensor, read_tensor, row_sums, write_tensor
+from conftest import golden_b, golden_file_text, sparse_tensor
+from specrad import DenseTensor, ParseError, random_tensor, read_tensor, row_sums, write_tensor
+from specrad.tensorfile import _parse_bulk, _parse_header, _parse_lines
 
 
 def roundtrip(tensor):
@@ -96,6 +97,12 @@ def test_header_cap():
         read_tensor(io.StringIO("3 100000\n"))
 
 
+def test_header_cap_is_decided_without_the_power():
+    # 1000**20000000 has 60 million digits; the cap check must not build it
+    with pytest.raises(ParseError, match="line 1.*1000\\*\\*20000000 entries exceed the cap"):
+        read_tensor(io.StringIO("20000000 1000\n"))
+
+
 def test_write_lists_nonzero_entries_one_based(tmp_path):
     t = sparse_tensor(3, 3, seed=4)
     path = tmp_path / "t.txt"
@@ -105,3 +112,85 @@ def test_write_lists_nonzero_entries_one_based(tmp_path):
     assert len(lines) == 1 + int(np.count_nonzero(t.data))
     first = lines[1].split()
     assert all(1 <= int(i) <= 3 for i in first[:3])
+
+
+def test_write_golden_is_byte_identical_to_the_golden_file():
+    buffer = io.StringIO()
+    write_tensor(golden_b(), buffer)
+    assert buffer.getvalue() == golden_file_text()
+
+
+def reference_write(tensor):
+    """One line per nonzero entry, built by scalar loops."""
+    lines = [f"{tensor.order} {tensor.dim}"]
+    for index in zip(*np.nonzero(tensor.data)):
+        coords = " ".join(str(int(i) + 1) for i in index)
+        lines.append(f"{coords} {float(tensor.data[index])!r}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from([(2, 1), (2, 7), (3, 4), (4, 3), (5, 2), (5, 3)]),
+    seed=st.integers(min_value=0, max_value=10_000),
+    density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+)
+def test_sparse_roundtrip_matches_reference_writer(shape, seed, density):
+    order, dim = shape
+    t = sparse_tensor(order, dim, seed, density=density)
+    buffer = io.StringIO()
+    write_tensor(t, buffer)
+    assert buffer.getvalue() == reference_write(t)
+    back = read_tensor(io.StringIO(buffer.getvalue()))
+    assert back.data.tobytes() == t.data.tobytes()
+
+
+def per_line_read(text):
+    """The per-line pass alone, as ``read_tensor`` falls back to it."""
+    lines = text.splitlines()
+    order, dim = _parse_header(lines)
+    return DenseTensor(_parse_lines(lines, order, dim))
+
+
+def outcome(reader, text):
+    try:
+        t = reader(io.StringIO(text)) if reader is read_tensor else reader(text)
+    except ParseError as exc:
+        return ("error", exc.lineno, str(exc))
+    return ("tensor", t.data.shape, t.data.tobytes())
+
+
+PARITY_CASES = {
+    "plus sign": "2 2\n+1 1 1.5\n2 +2 2.5\n",
+    "underscore index": "2 12\n1_0 1 1.5\n",
+    "full-width digit": "2 2\n\uff12 1 1.5\n",
+    "float index": "2 2\n1 1 1.0\n1.0 2 1.5\n",
+    "exponent index": "2 2\n1e0 2 1.5\n",
+    "nan value": "2 2\n1 1 1.0\n2 2 nan\n",
+    "infinity value": "2 2\n1 1 Infinity\n",
+    "negative zero": "2 2\n1 1 -0.0\n2 2 3.0\n",
+    "crlf": "2 2\r\n1 1 1.5\r\n2 2 0.25\r\n",
+    "tabs": "3 2\n1\t2\t1\t1.5\n2 1\t1 7e-3\n",
+    "blank lines": "2 2\n\n1 1 1.5\n   \n2 2 2.5\n\n\n",
+    "header only": "3 2\n",
+    "short then long": "2 2\n1 1\n2 2 1.5 7\n",
+    "duplicate on last line": "2 2\n1 1 1.5\n2 1 2.5\n1 1 3.5",
+    "comment line": "2 2\n# entries\n1 1 1.5\n",
+}
+
+
+@pytest.mark.parametrize("text", PARITY_CASES.values(), ids=PARITY_CASES.keys())
+def test_bulk_parse_matches_per_line_parse(text):
+    assert outcome(read_tensor, text) == outcome(per_line_read, text)
+
+
+def test_bulk_pass_hands_odd_input_to_the_per_line_pass():
+    def bulk(text):
+        lines = text.splitlines()
+        return _parse_bulk(lines, *_parse_header(lines))
+
+    for name in ("plus sign", "negative zero", "crlf", "tabs", "blank lines"):
+        assert bulk(PARITY_CASES[name]) is not None, name
+    for name in ("underscore index", "full-width digit", "float index", "nan value",
+                 "short then long", "duplicate on last line", "comment line"):
+        assert bulk(PARITY_CASES[name]) is None, name
