@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DenseTensor, contract, row_sums
+from .tensor import DenseTensor, contract
 
 ORACLE_TOL = 1e-9
 ORACLE_MAX_ITER = 10_000
@@ -46,28 +46,35 @@ def power_iteration(
 
     From the all-ones start, repeats ``x -> normalize(contract(a, x)**(1/(m-1)))``
     (unit maximum entry) and evaluates the pointwise bracket at each new
-    iterate; stops once the bracket closes to ``tol``.  For irreducible
-    input the bracket contains the spectral radius throughout.  If an
-    iterate's ``(m-1)``-th power develops a zero component (possible for
-    reducible input) the last valid bracket is returned with
+    iterate; stops once the bracket closes to ``tol``.  One contraction per
+    iteration serves both: ``y = contract(a, x)`` gives the bracket
+    ``y / x**(m-1)`` at ``x`` and the next iterate ``y**(1/(m-1))``.  For
+    irreducible input the bracket contains the spectral radius throughout.
+    If an iterate's ``(m-1)``-th power develops a zero component (possible
+    for reducible input) the last valid bracket is returned with
     ``converged=False``.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    sums = row_sums(a)
-    if (sums == 0).any():
-        row = int(np.argmin(sums)) + 1
-        raise ValueError(f"row {row} has zero row sum; power iteration needs positive rows")
-    root = 1.0 / (a.order - 1)
+    m = a.order
     x = np.ones(a.dim)
-    lower, upper = float(sums.min()), float(sums.max())
+    y = contract(a, x)
+    if (y == 0).any():
+        row = int(np.argmin(y)) + 1
+        raise ValueError(f"row {row} has zero row sum; power iteration needs positive rows")
+    root = 1.0 / (m - 1)
+    lower, upper = float(y.min()), float(y.max())
     iterations = 0
     while upper - lower > tol and iterations < max_iter:
-        nxt = contract(a, x) ** root
+        nxt = y**root
         nxt /= nxt.max()
         iterations += 1
-        if (nxt ** (a.order - 1) == 0).any():
+        powered = nxt ** (m - 1)
+        if (powered == 0).any():
             return OracleEstimate(lower, upper, x, iterations, converged=False)
-        lo, up = collatz_wielandt_bounds(a, nxt)
-        x, lower, upper = nxt, lo, up
+        if not np.isfinite(nxt).all():
+            raise ValueError("power iteration produced a non-finite iterate")
+        y = contract(a, nxt)
+        ratios = y / powered
+        x, lower, upper = nxt, float(ratios.min()), float(ratios.max())
     return OracleEstimate(lower, upper, x, iterations, converged=upper - lower <= tol)

@@ -6,12 +6,14 @@ sum is positive, then repeatedly rescale by the diagonal similarity with
 sweep preserves the spectrum, pushes the minimum row sum up and the maximum
 down, and those two numbers bracket the spectral radius at every step.  When
 they meet, the common value is the spectral radius of the shifted tensor and
-the accumulated scalings recover a positive eigenvector.  The balanced
-tensor is never formed: its row sums are the Collatz-Wielandt ratios
-``contract(A, x) / x**(m-1)`` of the shifted input ``A`` at the accumulated
-scaling ``x``, so the state is the length-n vector ``x`` and a sweep is one
-read-only contraction (the Ng-Qi-Zhou power iteration, SIAM J. Matrix
-Anal. Appl. 31, 2009).
+the accumulated scalings recover a positive eigenvector.  Neither the
+balanced tensor nor the shifted one is ever formed: the shifted operator is
+``contract(B, x) + alpha * x**(m-1)`` (Liu-Zhou-Ibrahim, J. Comput. Appl.
+Math. 235, 2010), so the balanced row sums are the Collatz-Wielandt ratios
+``contract(B, x) / x**(m-1) + alpha`` of the input ``B`` at the accumulated
+scaling ``x``.  The state is the input, ``alpha`` and the length-n vector
+``x``, and a sweep is one read-only contraction of the input (the
+Ng-Qi-Zhou power iteration, SIAM J. Matrix Anal. Appl. 31, 2009).
 
 Iteration counters: state ``k`` counts balancing sweeps performed, while
 trace rows are numbered from 1 (row 1 holds the initial, unbalanced row-sum
@@ -29,7 +31,7 @@ from typing import IO, Union
 
 import numpy as np
 
-from .tensor import DenseTensor, add_identity_shift, contract, row_sums
+from .tensor import DenseTensor, contract, row_sums
 
 DEFAULT_ALPHA = 1.0
 DEFAULT_TOL = 1e-7
@@ -65,17 +67,20 @@ class SolverConfig:
 class IterationState:
     """Snapshot after ``k`` balancing sweeps.
 
-    ``tensor`` is the shifted input, built once by :func:`init_state` and
-    shared by every later state.  ``x`` is the accumulated scaling,
-    renormalised to unit maximum entry; the balanced tensor is
-    ``diagonal_similarity(tensor, x)``, ``sums`` are its row sums and
-    ``upper``/``lower`` their extremes (the certified bracket).  The
-    ``accumulator`` carries the entrywise product of all scaling ratios
-    ``(sums[i] / upper)**(1/(m-1))`` seen so far; at convergence it is the
-    positive eigenvector of the shifted input.  Entries stay in (0, 1].
+    ``tensor`` is the caller's input, unshifted and shared by every state;
+    the shift ``alpha`` is applied implicitly, so the iterated (shifted)
+    tensor is ``add_identity_shift(tensor, alpha)`` but is never built.
+    ``x`` is the accumulated scaling, renormalised to unit maximum entry;
+    the balanced tensor is ``diagonal_similarity`` of the shifted tensor by
+    ``x``, ``sums`` are its row sums and ``upper``/``lower`` their extremes
+    (the certified bracket).  The ``accumulator`` carries the entrywise
+    product of all scaling ratios ``(sums[i] / upper)**(1/(m-1))`` seen so
+    far; at convergence it is the positive eigenvector of the shifted
+    tensor.  Entries stay in (0, 1].
     """
 
     tensor: DenseTensor
+    alpha: float
     x: np.ndarray
     sums: np.ndarray
     upper: float
@@ -133,29 +138,29 @@ def _trace_row(state: IterationState) -> TraceRow:
     )
 
 
-def _state_from(tensor, x, sums, accumulator, k) -> IterationState:
+def _state_from(tensor, alpha, x, sums, accumulator, k) -> IterationState:
     upper = float(sums.max())
     lower = float(sums.min())
     ratios = (sums / upper) ** (1.0 / (tensor.order - 1))
-    return IterationState(tensor, x, sums, upper, lower, accumulator * ratios, k)
+    return IterationState(tensor, alpha, x, sums, upper, lower, accumulator * ratios, k)
 
 
 def init_state(b: DenseTensor, config: SolverConfig) -> IterationState:
-    """Shift ``b`` by ``config.alpha`` and take the initial row-sum bracket.
+    """Take the initial row-sum bracket of ``b`` shifted by ``config.alpha``.
 
-    Raises if some row of the shifted tensor sums to zero (possible only
-    with ``alpha = 0`` and a zero row in ``b``); the iteration needs every
-    row sum strictly positive.
+    The shifted row sums are ``row_sums(b) + alpha``; ``b`` is neither
+    copied nor re-validated.  Raises if some row of the shifted tensor sums
+    to zero (possible only with ``alpha = 0`` and a zero row in ``b``); the
+    iteration needs every row sum strictly positive.
     """
-    shifted = add_identity_shift(b, config.alpha)
-    sums = row_sums(shifted)
+    sums = row_sums(b) + config.alpha
     if (sums == 0).any():
         row = int(np.argmin(sums)) + 1
         raise ValueError(
             f"row {row} of the shifted tensor has zero row sum; "
             "use a positive alpha or remove zero rows"
         )
-    return _state_from(shifted, np.ones(b.dim), sums, np.ones(b.dim), 0)
+    return _state_from(b, config.alpha, np.ones(b.dim), sums, np.ones(b.dim), 0)
 
 
 def _balance(state: IterationState) -> tuple[np.ndarray, np.ndarray]:
@@ -166,21 +171,22 @@ def _balance(state: IterationState) -> tuple[np.ndarray, np.ndarray]:
     powered = x ** (m - 1)
     if powered.min() < np.finfo(float).tiny:
         raise FloatingPointError("the (m-1)-th power of the scaling underflowed")
-    return x, contract(state.tensor, x) / powered
+    return x, contract(state.tensor, x) / powered + state.alpha
 
 
 def step(state: IterationState) -> IterationState:
     """One balancing sweep: rescale so the current row sums equalize.
 
     Folds ``d[i] = sums[i]**(1/(m-1))`` into ``x``, takes the new row sums
-    ``contract(tensor, x) / x**(m-1)`` in one read-only pass and folds their
-    ratios into the eigenvector accumulator.  The new bracket is nested
-    inside the old one.  A constant-row-sum state is a fixed point (up to
-    rounding).  Raises ``FloatingPointError`` once ``x**(m-1)`` leaves the
-    normal range, where the row sums would lose their digits.
+    ``contract(tensor, x) / x**(m-1) + alpha`` in one read-only pass over
+    the unshifted input and folds their ratios into the eigenvector
+    accumulator.  The new bracket is nested inside the old one.  A
+    constant-row-sum state is a fixed point (up to rounding).  Raises
+    ``FloatingPointError`` once ``x**(m-1)`` leaves the normal range, where
+    the row sums would lose their digits.
     """
     x, sums = _balance(state)
-    return _state_from(state.tensor, x, sums, state.accumulator, state.k + 1)
+    return _state_from(state.tensor, state.alpha, x, sums, state.accumulator, state.k + 1)
 
 
 def residual(a: DenseTensor, value: float, vector) -> float:
@@ -198,20 +204,26 @@ def contraction_factor(state: IterationState) -> float:
     each other: with ``s``/``t`` those rows (lowest index on ties), ``J``
     the index tuples where row ``s`` carries at least the normalized weight
     of row ``t``, the factor is one minus the complementary mass
-    ``(sum of a[s, tau] off J + sum of a[t, tau] on J) / upper``.
-    Undefined (raises) when the row sums are already constant.  Rows ``s``
-    and ``t`` of the balanced tensor are rescaled from ``tensor`` on the fly.
+    ``(sum of a[s, tau] off J + sum of a[t, tau] on J) / upper``, with ``a``
+    the balanced shifted tensor.  Undefined (raises) when the row sums are
+    already constant.  Rows ``s`` and ``t`` of ``a`` are rescaled from the
+    unshifted input on the fly; the shift then adds ``alpha`` at each row's
+    own superdiagonal position, whose rescaled weight is exactly 1.
     """
     if not state.upper > state.lower:
         raise ValueError("row sums are constant; contraction factor is undefined")
     tensor, x, sums = state.tensor, state.x, state.sums
-    m = tensor.order
+    m, n = tensor.order, tensor.dim
     _, next_sums = _balance(state)
     s = int(np.argmax(next_sums))
     t = int(np.argmin(next_sums))
     weights = functools.reduce(np.multiply.outer, [x] * (m - 1)).reshape(-1)
+    # flat position of (i, ..., i) within the n**(m-1) entries of row i
+    diagonal_stride = sum(n**k for k in range(m - 1))
     row_s = tensor.data[s].reshape(-1) * weights / x[s] ** (m - 1)
     row_t = tensor.data[t].reshape(-1) * weights / x[t] ** (m - 1)
+    row_s[s * diagonal_stride] += state.alpha
+    row_t[t * diagonal_stride] += state.alpha
     on_j = row_s / sums[s] >= row_t / sums[t]
     mass = row_s[~on_j].sum() + row_t[on_j].sum()
     return float(1.0 - mass / state.upper)
@@ -226,12 +238,13 @@ def solve(b: DenseTensor, config: SolverConfig | None = None) -> SolveReport:
     reducible input can also drive a scaling entry towards zero; once its
     ``(m-1)``-th power underflows the run stops early, unconverged, with
     the last bracket it could certify.
-    The residual is evaluated on the shifted input tensor, against which
-    the accumulator is an (approximate) eigenvector.
+    ``b`` is read in place: no shifted copy is built.  The residual is
+    that of ``(rho_shifted, eigenvector)`` on the shifted tensor, against
+    which the accumulator is an (approximate) eigenvector; it equals the
+    defect of ``(rho, eigenvector)`` on ``b`` itself.
     """
     cfg = config if config is not None else SolverConfig()
     state = init_state(b, cfg)
-    shifted = state.tensor
     trace = [_trace_row(state)] if cfg.trace else []
     while state.gap > cfg.tol and state.k < cfg.max_iter:
         try:
@@ -242,16 +255,17 @@ def solve(b: DenseTensor, config: SolverConfig | None = None) -> SolveReport:
             trace.append(_trace_row(state))
     gap = state.gap
     rho_shifted = 0.5 * (state.upper + state.lower)
+    rho = rho_shifted - cfg.alpha
     return SolveReport(
         rho_shifted=rho_shifted,
-        rho=rho_shifted - cfg.alpha,
+        rho=rho,
         eigenvector=state.accumulator,
         converged=gap <= cfg.tol,
         iterations=state.k,
         lower=state.lower,
         upper=state.upper,
         final_gap=gap,
-        residual=residual(shifted, rho_shifted, state.accumulator),
+        residual=residual(b, rho, state.accumulator),
         trace=trace,
     )
 

@@ -15,6 +15,21 @@ import numpy as np
 MAX_DENSE_ENTRIES = 50_000_000
 
 
+def _max_array_rank() -> int:
+    """Highest ndarray rank this numpy supports (32 before numpy 2, 64 since)."""
+    rank = 1
+    try:
+        while True:
+            np.empty((1,) * (rank + 1))
+            rank += 1
+    except ValueError:
+        return rank
+
+
+# Highest tensor order a dense backing array can have.
+MAX_ORDER = _max_array_rank()
+
+
 class DenseTensor:
     """Order-m, dimension-n nonnegative tensor stored as a dense ndarray.
 
@@ -166,7 +181,8 @@ def random_tensor(
     """Seeded tensor with entries drawn i.i.d. uniform on ``[0, high]``.
 
     The same ``(order, dim, seed)`` always yields a bit-identical tensor.
-    Raises if ``dim**order`` would exceed ``max_entries``.
+    Raises if ``dim**order`` would exceed ``max_entries`` or ``order`` would
+    exceed :data:`MAX_ORDER`.
     """
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
@@ -179,5 +195,7 @@ def random_tensor(
             f"random tensor with dim={dim}, order={order} needs {count} entries, "
             f"exceeding the cap of {max_entries}"
         )
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} exceeds numpy's maximum array rank of {MAX_ORDER}")
     rng = np.random.default_rng(seed)
     return DenseTensor(rng.uniform(0.0, high, size=(dim,) * order))

@@ -26,7 +26,7 @@ from typing import IO, Optional, Union
 
 import numpy as np
 
-from .tensor import MAX_DENSE_ENTRIES, DenseTensor, exceeds_entry_cap
+from .tensor import MAX_DENSE_ENTRIES, MAX_ORDER, DenseTensor, exceeds_entry_cap
 
 PathOrFile = Union[str, os.PathLike, IO[str]]
 
@@ -71,15 +71,18 @@ def _parse_bulk(lines: list[str], order: int, dim: int) -> Optional[np.ndarray]:
         return None
     if not np.isfinite(values).all() or (values < 0).any():
         return None
-    shape = (dim,) * order
-    flat = np.ravel_multi_index(index, shape)
+    # the row-major flat index np.ravel_multi_index gives, which that
+    # function refuses to compute for as many as MAX_ORDER axes
+    flat = np.zeros(values.size, dtype=np.int64)
+    for i in index:
+        flat = flat * dim + i
     seen = np.zeros(dim**order, dtype=bool)
     seen[flat] = True
     if np.count_nonzero(seen) != flat.size:
         return None
     data = np.zeros(dim**order)
     data[flat] = values
-    return data.reshape(shape)
+    return data.reshape((dim,) * order)
 
 
 def _parse_lines(lines: list[str], order: int, dim: int) -> np.ndarray:
@@ -131,6 +134,8 @@ def read_tensor(source: PathOrFile, max_entries: int = MAX_DENSE_ENTRIES) -> Den
     order, dim = _parse_header(lines)
     if exceeds_entry_cap(order, dim, max_entries):
         raise ParseError(1, f"{dim}**{order} entries exceed the cap of {max_entries}")
+    if order > MAX_ORDER:
+        raise ParseError(1, f"order {order} exceeds numpy's maximum array rank of {MAX_ORDER}")
 
     data = _parse_bulk(lines, order, dim)
     if data is None:
@@ -146,7 +151,8 @@ def write_tensor(tensor: DenseTensor, dest: PathOrFile) -> None:
     nonzero = np.nonzero(tensor.data)
     labels = [f"{i} " for i in range(1, tensor.dim + 1)]
     columns = [[labels[i] for i in axis.tolist()] for axis in nonzero]
-    values = map(repr, tensor.data[nonzero].tolist())
+    # flat indexing: one index array per axis fails at numpy's maximum rank
+    values = map(repr, tensor.entries[np.flatnonzero(tensor.entries)].tolist())
     rows = map("".join, zip(*columns, values))
     text = "\n".join([f"{tensor.order} {tensor.dim}", *rows]) + "\n"
     if hasattr(dest, "write"):

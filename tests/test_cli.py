@@ -6,6 +6,7 @@ import pytest
 from conftest import golden_file_text
 from specrad import random_tensor, read_tensor, write_tensor
 from specrad.cli import main
+from specrad.tensor import MAX_ORDER
 
 
 @pytest.fixture
@@ -99,6 +100,12 @@ class TestCheckCommand:
         assert main(["check", str(path)]) == 1
         assert "line 1" in capsys.readouterr().err
 
+    def test_order_above_the_array_rank_limit_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "deep.txt"
+        path.write_text(f"{MAX_ORDER + 1} 1\n")
+        assert main(["check", str(path)]) == 1
+        assert "line 1: order" in capsys.readouterr().err
+
 
 class TestRandomCommand:
     def test_out_roundtrips_bit_identical(self, tmp_path):
@@ -120,6 +127,11 @@ class TestRandomCommand:
     def test_huge_order_exits_one(self, capsys):
         assert main(["random", "--m", "20000000", "--n", "1000"]) == 1
         assert "cap" in capsys.readouterr().err
+
+    def test_order_above_the_array_rank_limit_exits_one(self, capsys):
+        order = str(MAX_ORDER + 1)
+        assert main(["random", "--m", order, "--n", "1"]) == 1
+        assert f"order {order} exceeds numpy's maximum array rank" in capsys.readouterr().err
 
 
 class TestBenchCommand:

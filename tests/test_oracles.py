@@ -3,12 +3,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import empty_row_tensor
+import specrad.oracles
+from conftest import empty_row_tensor, golden_b
 from specrad import (
     DenseTensor,
     SolverConfig,
     add_identity_shift,
     collatz_wielandt_bounds,
+    contract,
     identity_tensor,
     init_state,
     power_iteration,
@@ -19,6 +21,32 @@ from specrad import (
 )
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
+
+
+def power_iteration_two_contractions(a, tol=1e-9, max_iter=10_000):
+    """Reference loop: contracts once for the next iterate and once more,
+    inside the bracket, at that iterate."""
+    sums = row_sums(a)
+    root = 1.0 / (a.order - 1)
+    x = np.ones(a.dim)
+    lower, upper = float(sums.min()), float(sums.max())
+    iterations = 0
+    while upper - lower > tol and iterations < max_iter:
+        nxt = contract(a, x) ** root
+        nxt /= nxt.max()
+        iterations += 1
+        if (nxt ** (a.order - 1) == 0).any():
+            return lower, upper, x, iterations, False
+        lower, upper = collatz_wielandt_bounds(a, nxt)
+        x = nxt
+    return lower, upper, x, iterations, upper - lower <= tol
+
+
+REFERENCE_INPUTS = [
+    add_identity_shift(golden_b(), 1.0),
+    golden_b(),
+    add_identity_shift(empty_row_tensor(), 1.0),
+] + [random_tensor(2 + seed % 3, 4, seed) for seed in range(10)]
 
 
 class TestPowerIteration:
@@ -76,6 +104,28 @@ class TestPowerIteration:
         estimate = power_iteration(add_identity_shift(golden, 1.0), tol=1e-15, max_iter=3)
         assert estimate.iterations == 3
         assert not estimate.converged
+
+    @pytest.mark.parametrize("index", range(len(REFERENCE_INPUTS)))
+    def test_matches_two_contraction_loop_bit_for_bit(self, index):
+        a = REFERENCE_INPUTS[index]
+        estimate = power_iteration(a)
+        lower, upper, vector, iterations, converged = power_iteration_two_contractions(a)
+        assert (estimate.lower, estimate.upper) == (lower, upper)
+        assert (estimate.iterations, estimate.converged) == (iterations, converged)
+        assert np.array_equal(estimate.vector, vector)
+
+    def test_one_contraction_per_iteration(self, golden, monkeypatch):
+        calls = []
+        original = specrad.oracles.contract
+
+        def counting(a, x):
+            calls.append(1)
+            return original(a, x)
+
+        monkeypatch.setattr(specrad.oracles, "contract", counting)
+        estimate = power_iteration(add_identity_shift(golden, 1.0))
+        assert estimate.iterations > 1
+        assert len(calls) == estimate.iterations + 1
 
     @settings(max_examples=10, deadline=None)
     @given(seed=seeds)

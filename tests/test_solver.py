@@ -97,8 +97,27 @@ class TestStep:
     def test_sums_always_recomputable(self):
         state = init_state(golden_b(), SolverConfig())
         for _ in range(5):
-            balanced = diagonal_similarity(state.tensor, state.x)
+            shifted = add_identity_shift(state.tensor, state.alpha)
+            balanced = diagonal_similarity(shifted, state.x)
             assert row_sums(balanced) == pytest.approx(state.sums, rel=1e-12)
+            state = step(state)
+
+    def test_state_holds_the_unshifted_input(self, golden):
+        state = step(init_state(golden, SolverConfig(alpha=2.5)))
+        assert state.tensor is golden
+        assert state.alpha == 2.5
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("dim,order", [(5, 3), (4, 4), (5, 2)])
+    def test_implicit_shift_matches_explicit_shift(self, dim, order, alpha):
+        state = init_state(random_tensor(order, dim, seed=dim + order), SolverConfig(alpha=alpha))
+        shifted = add_identity_shift(state.tensor, alpha)
+        for _ in range(3):
+            balanced = diagonal_similarity(shifted, state.x)
+            assert row_sums(balanced) == pytest.approx(state.sums, rel=1e-12)
+            assert contraction_factor(state) == pytest.approx(
+                contraction_factor_loops(balanced, state.sums), rel=1e-9
+            )
             state = step(state)
 
     @settings(max_examples=25, deadline=None)
@@ -235,7 +254,7 @@ class TestSolveGeneral:
         monkeypatch.setattr(DenseTensor, "__init__", counting)
         report = solve(b)
         assert report.iterations > 1
-        assert built == [(10, 10, 10)]
+        assert built == []
 
     def test_underflowing_scaling_stops_unconverged(self):
         # the empty row keeps ratio alpha while its scaling entry decays
@@ -277,7 +296,8 @@ class TestContractionFactor:
     def test_golden_value_matches_enumeration_oracle(self, golden):
         state = init_state(golden, SolverConfig())
         value = contraction_factor(state)
-        assert value == pytest.approx(contraction_factor_loops(state.tensor, state.sums), rel=1e-12)
+        shifted = add_identity_shift(state.tensor, state.alpha)
+        assert value == pytest.approx(contraction_factor_loops(shifted, state.sums), rel=1e-12)
         assert value == pytest.approx(0.8104265402843602, rel=1e-12)
 
     def test_golden_dominates_observed_ratio(self, golden):
@@ -303,10 +323,11 @@ class TestContractionFactor:
         order, dim = shape
         state = init_state(random_tensor(order, dim, seed), SolverConfig())
         assume(state.gap > 1e-9)
+        shifted = add_identity_shift(state.tensor, state.alpha)
         for _ in range(4):
             if state.gap <= 1e-9:
                 break
-            balanced = diagonal_similarity(state.tensor, state.x)
+            balanced = diagonal_similarity(shifted, state.x)
             assert contraction_factor(state) == pytest.approx(
                 contraction_factor_loops(balanced, state.sums), rel=1e-9
             )

@@ -248,6 +248,13 @@ class TestRandomTensor:
                 for order in range(1, 40):
                     assert exceeds_entry_cap(order, dim, cap) == (dim**order > cap)
 
+    def test_order_above_the_array_rank_limit(self):
+        from specrad.tensor import MAX_ORDER
+
+        assert random_tensor(MAX_ORDER, 1, seed=0).order == MAX_ORDER
+        with pytest.raises(ValueError, match=f"order {MAX_ORDER + 1} exceeds numpy's maximum"):
+            random_tensor(MAX_ORDER + 1, 1, seed=0)
+
     def test_bad_shape_arguments(self):
         with pytest.raises(ValueError, match="order"):
             random_tensor(1, 3, seed=0)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import golden_b, golden_file_text, sparse_tensor
 from specrad import DenseTensor, ParseError, random_tensor, read_tensor, row_sums, write_tensor
+from specrad.tensor import MAX_ORDER
 from specrad.tensorfile import _parse_bulk, _parse_header, _parse_lines
 
 
@@ -101,6 +102,21 @@ def test_header_cap_is_decided_without_the_power():
     # 1000**20000000 has 60 million digits; the cap check must not build it
     with pytest.raises(ParseError, match="line 1.*1000\\*\\*20000000 entries exceed the cap"):
         read_tensor(io.StringIO("20000000 1000\n"))
+
+
+def test_header_order_above_the_array_rank_limit():
+    with pytest.raises(ParseError, match=f"line 1: order {MAX_ORDER + 1} exceeds numpy's maximum"):
+        read_tensor(io.StringIO(f"{MAX_ORDER + 1} 1\n"))
+
+
+def test_roundtrip_at_the_array_rank_limit():
+    # one index array per axis is one too many for numpy at this order
+    t = random_tensor(MAX_ORDER, 1, seed=6)
+    buffer = io.StringIO()
+    write_tensor(t, buffer)
+    text = buffer.getvalue()
+    assert read_tensor(io.StringIO(text)) == t
+    assert np.array_equal(_parse_lines(text.splitlines(), MAX_ORDER, 1), t.data)
 
 
 def test_write_lists_nonzero_entries_one_based(tmp_path):
