@@ -22,7 +22,6 @@ extremes), so row ``k + 1`` describes the state after ``k`` sweeps.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import os
@@ -31,7 +30,7 @@ from typing import IO, Union
 
 import numpy as np
 
-from .tensor import DenseTensor, contract, row_sums
+from .tensor import DenseTensor, _kron_weights, contract, row_sums
 
 DEFAULT_ALPHA = 1.0
 DEFAULT_TOL = 1e-7
@@ -217,7 +216,7 @@ def contraction_factor(state: IterationState) -> float:
     _, next_sums = _balance(state)
     s = int(np.argmax(next_sums))
     t = int(np.argmin(next_sums))
-    weights = functools.reduce(np.multiply.outer, [x] * (m - 1)).reshape(-1)
+    weights = _kron_weights(x, m)
     # flat position of (i, ..., i) within the n**(m-1) entries of row i
     diagonal_stride = sum(n**k for k in range(m - 1))
     row_s = tensor.data[s].reshape(-1) * weights / x[s] ** (m - 1)

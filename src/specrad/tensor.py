@@ -3,7 +3,10 @@
 A tensor of order ``m`` and dimension ``n`` is a cubical multiarray with
 ``n**m`` entries ``a[i1, ..., im]``.  Everything here treats tensors as
 immutable values: operations return fresh tensors and never mutate inputs,
-so instances are safe to share across threads.
+so instances are safe to share across threads.  The public
+``DenseTensor(data)`` constructor copies ``data``; the tensors this package
+builds itself (random, read from a file, shifted, rescaled) take ownership
+of the fresh array they were computed into, so no ``n**m`` copy is made.
 """
 
 from __future__ import annotations
@@ -30,28 +33,46 @@ def _max_array_rank() -> int:
 MAX_ORDER = _max_array_rank()
 
 
+def _validated(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself, made read-only, once it passes the tensor checks."""
+    if arr.ndim < 2:
+        raise ValueError(f"tensor order must be >= 2, got array of rank {arr.ndim}")
+    n = arr.shape[0]
+    if n < 1 or any(s != n for s in arr.shape):
+        raise ValueError(f"tensor must be cubical, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("tensor entries must be finite")
+    if (arr < 0).any():
+        raise ValueError("tensor entries must be nonnegative")
+    arr.flags.writeable = False
+    return arr
+
+
 class DenseTensor:
     """Order-m, dimension-n nonnegative tensor stored as a dense ndarray.
 
     The backing array has shape ``(n,) * m`` in C order, so the flat view
     ``entries`` enumerates entries lexicographically by multi-index.
     Construction rejects negative, NaN and infinite entries outright; the
-    spectral theory used downstream assumes nonnegativity.
+    spectral theory used downstream assumes nonnegativity.  The constructor
+    copies ``data``, so later changes to the caller's array never reach the
+    tensor; the package's own constructors hand over a fresh array instead
+    (:meth:`_own`).
     """
 
     def __init__(self, data):
-        arr = np.array(data, dtype=float)
-        if arr.ndim < 2:
-            raise ValueError(f"tensor order must be >= 2, got array of rank {arr.ndim}")
-        n = arr.shape[0]
-        if n < 1 or any(s != n for s in arr.shape):
-            raise ValueError(f"tensor must be cubical, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("tensor entries must be finite")
-        if (arr < 0).any():
-            raise ValueError("tensor entries must be nonnegative")
-        arr.flags.writeable = False
-        self._data = arr
+        self._data = _validated(np.array(data, dtype=float, order="C"))
+
+    @classmethod
+    def _own(cls, arr: np.ndarray) -> DenseTensor:
+        """Tensor backed by ``arr`` itself, with the constructor's checks.
+
+        ``arr`` must be a fresh C-order float64 array that no caller can
+        reach; it becomes read-only and is not copied.
+        """
+        tensor = cls.__new__(cls)
+        tensor._data = _validated(arr)
+        return tensor
 
     @property
     def order(self) -> int:
@@ -91,19 +112,30 @@ def _check_vector(a: DenseTensor, x, name: str = "x") -> np.ndarray:
     return vec
 
 
+def _kron_weights(x: np.ndarray, order: int) -> np.ndarray:
+    """Length ``n**(order-1)`` vector ``w[(i2..im)] = x[i2] * ... * x[im]``.
+
+    Indexed in C order, so it lines up with the entries of one row
+    ``a[i]``.  Each round prepends one factor as the outer axis, which
+    keeps the long axis innermost.  For order 2 it is ``x`` itself.
+    """
+    w = x
+    for _ in range(order - 2):
+        w = (x[:, None] * w).reshape(-1)
+    return w
+
+
 def contract(a: DenseTensor, x) -> np.ndarray:
     """Contract the tensor with ``x`` along every axis but the first.
 
     Returns the length-n vector with components
     ``sum over (i2..im) of a[i, i2, ..., im] * x[i2] * ... * x[im]``,
-    the multilinear analogue of a matrix-vector product (and exactly that
-    product when the order is 2).
+    the multilinear analogue of a matrix-vector product.  It is computed as
+    one: the ``(n, n**(m-1))`` view of the entries times the weight vector
+    ``x[i2] * ... * x[im]`` (exactly ``a.data @ x`` when the order is 2).
     """
     vec = _check_vector(a, x)
-    out = a.data
-    for _ in range(a.order - 1):
-        out = out @ vec
-    return out
+    return a.data.reshape(a.dim, -1) @ _kron_weights(vec, a.order)
 
 
 def row_sums(a: DenseTensor) -> np.ndarray:
@@ -138,7 +170,7 @@ def diagonal_similarity(a: DenseTensor, d) -> DenseTensor:
     shape = [1] * m
     shape[0] = n
     out /= (vec ** (m - 1)).reshape(shape)
-    return DenseTensor(out)
+    return DenseTensor._own(out)
 
 
 def add_identity_shift(b: DenseTensor, alpha: float) -> DenseTensor:
@@ -152,7 +184,7 @@ def add_identity_shift(b: DenseTensor, alpha: float) -> DenseTensor:
     out = np.array(b.data, copy=True)
     idx = np.arange(b.dim)
     out[(idx,) * b.order] += alpha
-    return DenseTensor(out)
+    return DenseTensor._own(out)
 
 
 def exceeds_entry_cap(order: int, dim: int, max_entries: int) -> bool:
@@ -168,7 +200,7 @@ def exceeds_entry_cap(order: int, dim: int, max_entries: int) -> bool:
 
 def identity_tensor(order: int, dim: int, weight: float = 1.0) -> DenseTensor:
     """Tensor with ``weight`` on the superdiagonal and zeros elsewhere."""
-    return add_identity_shift(DenseTensor(np.zeros((dim,) * order)), weight)
+    return add_identity_shift(DenseTensor._own(np.zeros((dim,) * order)), weight)
 
 
 def random_tensor(
@@ -198,4 +230,4 @@ def random_tensor(
     if order > MAX_ORDER:
         raise ValueError(f"order {order} exceeds numpy's maximum array rank of {MAX_ORDER}")
     rng = np.random.default_rng(seed)
-    return DenseTensor(rng.uniform(0.0, high, size=(dim,) * order))
+    return DenseTensor._own(rng.uniform(0.0, high, size=(dim,) * order))

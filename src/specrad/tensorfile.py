@@ -140,7 +140,7 @@ def read_tensor(source: PathOrFile, max_entries: int = MAX_DENSE_ENTRIES) -> Den
     data = _parse_bulk(lines, order, dim)
     if data is None:
         data = _parse_lines(lines, order, dim)
-    return DenseTensor(data)
+    return DenseTensor._own(data)
 
 
 def write_tensor(tensor: DenseTensor, dest: PathOrFile) -> None:

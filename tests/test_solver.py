@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,15 +247,32 @@ class TestSolveGeneral:
         b = random_tensor(3, 10, seed=4)
         built = []
         original = DenseTensor.__init__
+        original_own = DenseTensor._own
 
         def counting(self, data):
             built.append(np.shape(data))
             original(self, data)
 
+        def counting_own(arr):
+            built.append(arr.shape)
+            return original_own(arr)
+
         monkeypatch.setattr(DenseTensor, "__init__", counting)
+        monkeypatch.setattr(DenseTensor, "_own", counting_own)
         report = solve(b)
         assert report.iterations > 1
         assert built == []
+
+    def test_allocates_nothing_of_the_tensor_size(self):
+        b = random_tensor(4, 40, seed=5)
+        tracemalloc.start()
+        try:
+            report = solve(b, SolverConfig(trace=False))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.iterations > 1
+        assert peak < 1e6 < b.data.nbytes
 
     def test_underflowing_scaling_stops_unconverged(self):
         # the empty row keeps ratio alpha while its scaling entry decays
@@ -325,6 +343,21 @@ class TestContractionFactor:
         assume(state.gap > 1e-9)
         shifted = add_identity_shift(state.tensor, state.alpha)
         for _ in range(4):
+            if state.gap <= 1e-9:
+                break
+            balanced = diagonal_similarity(shifted, state.x)
+            assert contraction_factor(state) == pytest.approx(
+                contraction_factor_loops(balanced, state.sums), rel=1e-9
+            )
+            state = step(state)
+
+    @pytest.mark.parametrize(
+        "order, dim, seed", [(3, 4, 1), (3, 6, 2), (4, 3, 3), (4, 4, 4), (5, 2, 5), (5, 3, 6)]
+    )
+    def test_matches_enumeration_oracle_at_orders_3_to_5(self, order, dim, seed):
+        state = init_state(random_tensor(order, dim, seed), SolverConfig())
+        shifted = add_identity_shift(state.tensor, state.alpha)
+        for _ in range(3):
             if state.gap <= 1e-9:
                 break
             balanced = diagonal_similarity(shifted, state.x)

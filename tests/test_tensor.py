@@ -1,9 +1,12 @@
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import contract_loops, golden_b
+from conftest import contract_loops, golden_b, golden_file_text
 from specrad import (
     DenseTensor,
     add_identity_shift,
@@ -12,12 +15,25 @@ from specrad import (
     identity_tensor,
     power_iteration,
     random_tensor,
+    read_tensor,
     residual,
     row_sums,
 )
+from specrad.tensor import MAX_ORDER
 
 shapes = st.sampled_from([(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)])
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
+
+
+def contract_by_ndindex(t: DenseTensor, x) -> np.ndarray:
+    """Contraction summed entry by entry over every multi-index."""
+    out = np.zeros(t.dim)
+    for index in np.ndindex(t.data.shape):
+        term = t.data[index]
+        for j in index[1:]:
+            term *= x[j]
+        out[index[0]] += term
+    return out
 
 
 class TestDenseTensor:
@@ -49,6 +65,42 @@ class TestDenseTensor:
         with pytest.raises(ValueError):
             t.data[0, 0] = 1.0
 
+    def test_constructor_copies_its_input(self):
+        arr = np.ones((3, 3, 3))
+        t = DenseTensor(arr)
+        arr[0, 0, 0] = 7.0
+        assert t.data[0, 0, 0] == 1.0
+        assert arr.flags.writeable
+
+    def test_any_input_layout_is_stored_in_c_order(self):
+        arr = np.arange(27.0).reshape(3, 3, 3).transpose(2, 0, 1)
+        t = DenseTensor(arr)
+        assert t.data.flags.c_contiguous
+        assert np.shares_memory(t.entries, t.data)
+        assert np.array_equal(t.data, arr)
+
+    def test_package_built_tensors_are_read_only(self):
+        golden = golden_b()
+        built = [
+            random_tensor(3, 4, seed=1),
+            read_tensor(io.StringIO(golden_file_text())),
+            add_identity_shift(golden, 1.0),
+            diagonal_similarity(golden, [1.0, 2.0, 3.0]),
+            identity_tensor(3, 4),
+        ]
+        for t in built:
+            with pytest.raises(ValueError):
+                t.data[(0,) * t.order] = 1.0
+
+    def test_random_tensor_allocates_the_entries_once(self):
+        tracemalloc.start()
+        try:
+            t = random_tensor(3, 60, seed=12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * t.data.nbytes
+
     def test_equality(self):
         a = random_tensor(3, 2, seed=1)
         b = random_tensor(3, 2, seed=2)
@@ -71,6 +123,32 @@ class TestContract:
     def test_matrix_case_is_matvec(self):
         a = DenseTensor([[1.0, 1.0], [1.0, 1.0]])
         assert contract(a, [1.0, 2.0]) == pytest.approx([3.0, 3.0])
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 40])
+    def test_matrix_case_is_bit_identical_to_matmul(self, dim):
+        a = random_tensor(2, dim, seed=dim)
+        x = np.random.default_rng(dim).uniform(0.0, 3.0, size=dim)
+        assert np.array_equal(contract(a, x), a.data @ x)
+
+    @pytest.mark.parametrize(
+        "order, dim",
+        [(2, 7), (3, 7), (4, 5), (5, 4), (6, 3), (7, 3), (8, 3), (12, 2), (MAX_ORDER, 1)],
+    )
+    def test_matches_index_loop_at_every_order(self, order, dim):
+        t = random_tensor(order, dim, seed=100 * order + dim)
+        x = np.random.default_rng(dim).uniform(0.2, 1.5, size=dim)
+        assert contract(t, x) == pytest.approx(contract_by_ndindex(t, x), rel=1e-13)
+
+    def test_vector_forms(self):
+        t = random_tensor(4, 3, seed=8)
+        x = np.array([0.5, 1.5, 2.0])
+        out = contract(t, x)
+        assert out.shape == (3,)
+        assert np.array_equal(x, [0.5, 1.5, 2.0])
+        assert np.array_equal(contract(t, x.tolist()), out)
+        strided = np.repeat(x, 2)[::2]
+        assert not strided.flags.c_contiguous
+        assert np.array_equal(contract(t, strided), out)
 
     def test_dimension_mismatch(self):
         a = random_tensor(3, 3, seed=0)
