@@ -25,7 +25,6 @@ from .solver import (
 from .structure import (
     BRUTE_FORCE_DIM_CAP,
     IrreducibilityVerdict,
-    domination_iterates,
     irreducible_iterative,
     reducible_bruteforce,
 )
@@ -35,7 +34,6 @@ from .tensor import (
     add_identity_shift,
     contract,
     diagonal_similarity,
-    identity_tensor,
     random_tensor,
     row_sums,
 )
@@ -64,8 +62,6 @@ __all__ = [
     "contract",
     "contraction_factor",
     "diagonal_similarity",
-    "domination_iterates",
-    "identity_tensor",
     "init_state",
     "irreducible_iterative",
     "power_iteration",

@@ -10,10 +10,10 @@ import argparse
 import sys
 
 from .oracles import power_iteration
-from .solver import SolverConfig, solve, write_trace_csv
+from .solver import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL, SolverConfig, solve, write_trace_csv
 from .structure import irreducible_iterative
 from .tensor import add_identity_shift, random_tensor
-from .tensorfile import ParseError, read_tensor, write_tensor
+from .tensorfile import read_tensor, write_tensor
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -95,9 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve a tensor file and print the eigenpair")
     p_solve.add_argument("path", help="tensor file ('m n' header, then 'i1 .. im value' lines)")
-    p_solve.add_argument("--alpha", type=float, default=1.0, help="superdiagonal shift")
-    p_solve.add_argument("--tol", type=float, default=1e-7, help="absolute gap tolerance")
-    p_solve.add_argument("--max-iter", type=int, default=100, help="sweep cap")
+    p_solve.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="superdiagonal shift")
+    p_solve.add_argument("--tol", type=float, default=DEFAULT_TOL, help="absolute gap tolerance")
+    p_solve.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, help="sweep cap")
     p_solve.add_argument("--trace-csv", metavar="PATH", help="write the per-sweep trace as CSV")
     p_solve.add_argument("--oracle", action="store_true", help="also print the power-iteration bracket")
     p_solve.add_argument("--normalize", action="store_true", help="print the eigenvector with unit maximum entry")
@@ -128,9 +128,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -6,14 +6,15 @@ sum is positive, then repeatedly rescale by the diagonal similarity with
 sweep preserves the spectrum, pushes the minimum row sum up and the maximum
 down, and those two numbers bracket the spectral radius at every step.  When
 they meet, the common value is the spectral radius of the shifted tensor and
-the accumulated scalings recover a positive eigenvector.  Neither the
-balanced tensor nor the shifted one is ever formed: the shifted operator is
+the accumulated scaling is a positive eigenvector.  Neither the balanced
+tensor nor the shifted one is ever formed: the shifted operator is
 ``contract(B, x) + alpha * x**(m-1)`` (Liu-Zhou-Ibrahim, J. Comput. Appl.
 Math. 235, 2010), so the balanced row sums are the Collatz-Wielandt ratios
 ``contract(B, x) / x**(m-1) + alpha`` of the input ``B`` at the accumulated
-scaling ``x``.  The state is the input, ``alpha`` and the length-n vector
-``x``, and a sweep is one read-only contraction of the input (the
-Ng-Qi-Zhou power iteration, SIAM J. Matrix Anal. Appl. 31, 2009).
+scaling ``x``, the product of the per-sweep ratios ``(R[i] / max R)**(1/(m-1))``.
+The state is the input, ``alpha`` and the length-n vector ``x``, and a sweep
+is one read-only contraction of the input (the Ng-Qi-Zhou power iteration,
+SIAM J. Matrix Anal. Appl. 31, 2009).
 
 Iteration counters: state ``k`` counts balancing sweeps performed, while
 trace rows are numbered from 1 (row 1 holds the initial, unbalanced row-sum
@@ -69,13 +70,13 @@ class IterationState:
     ``tensor`` is the caller's input, unshifted and shared by every state;
     the shift ``alpha`` is applied implicitly, so the iterated (shifted)
     tensor is ``add_identity_shift(tensor, alpha)`` but is never built.
-    ``x`` is the accumulated scaling, renormalised to unit maximum entry;
-    the balanced tensor is ``diagonal_similarity`` of the shifted tensor by
-    ``x``, ``sums`` are its row sums and ``upper``/``lower`` their extremes
-    (the certified bracket).  The ``accumulator`` carries the entrywise
-    product of all scaling ratios ``(sums[i] / upper)**(1/(m-1))`` seen so
-    far; at convergence it is the positive eigenvector of the shifted
-    tensor.  Entries stay in (0, 1].
+    ``x`` is the accumulated scaling: the entrywise product of the ratios
+    ``(sums[i] / upper)**(1/(m-1))`` of every earlier sweep, from all ones
+    (rescaled by a power of two, which changes no ratio, if it drifts far
+    below 1).  The balanced tensor is ``diagonal_similarity`` of the shifted
+    tensor by ``x``, ``sums`` are its row sums and ``upper``/``lower`` their
+    extremes (the certified bracket).  Folding the current ratios into ``x``
+    gives the next scaling: at convergence, the shifted tensor's eigenvector.
     """
 
     tensor: DenseTensor
@@ -84,7 +85,6 @@ class IterationState:
     sums: np.ndarray
     upper: float
     lower: float
-    accumulator: np.ndarray
     k: int
 
     @property
@@ -99,8 +99,14 @@ class TraceRow:
     k: int
     lower: float
     upper: float
-    gap: float
-    midpoint: float
+
+    @property
+    def gap(self) -> float:
+        return self.upper - self.lower
+
+    @property
+    def midpoint(self) -> float:
+        return 0.5 * (self.upper + self.lower)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,33 +121,35 @@ class SolveReport:
     are already constant).
     """
 
-    rho_shifted: float
     rho: float
     eigenvector: np.ndarray
     converged: bool
     iterations: int
     lower: float
     upper: float
-    final_gap: float
     residual: float
     trace: list[TraceRow] = field(default_factory=list)
 
+    @property
+    def rho_shifted(self) -> float:
+        return 0.5 * (self.upper + self.lower)
+
+    @property
+    def final_gap(self) -> float:
+        return self.upper - self.lower
+
 
 def _trace_row(state: IterationState) -> TraceRow:
-    return TraceRow(
-        k=state.k + 1,
-        lower=state.lower,
-        upper=state.upper,
-        gap=state.upper - state.lower,
-        midpoint=0.5 * (state.upper + state.lower),
-    )
+    return TraceRow(k=state.k + 1, lower=state.lower, upper=state.upper)
 
 
-def _state_from(tensor, alpha, x, sums, accumulator, k) -> IterationState:
-    upper = float(sums.max())
-    lower = float(sums.min())
-    ratios = (sums / upper) ** (1.0 / (tensor.order - 1))
-    return IterationState(tensor, alpha, x, sums, upper, lower, accumulator * ratios, k)
+def _state_from(tensor, alpha, x, sums, k) -> IterationState:
+    return IterationState(tensor, alpha, x, sums, float(sums.max()), float(sums.min()), k)
+
+
+def _rescaled(state: IterationState) -> np.ndarray:
+    """``x`` with the current ratios ``(sums / upper)**(1/(m-1))`` folded in."""
+    return state.x * (state.sums / state.upper) ** (1.0 / (state.tensor.order - 1))
 
 
 def init_state(b: DenseTensor, config: SolverConfig) -> IterationState:
@@ -159,14 +167,18 @@ def init_state(b: DenseTensor, config: SolverConfig) -> IterationState:
             f"row {row} of the shifted tensor has zero row sum; "
             "use a positive alpha or remove zero rows"
         )
-    return _state_from(b, config.alpha, np.ones(b.dim), sums, np.ones(b.dim), 0)
+    return _state_from(b, config.alpha, np.ones(b.dim), sums, 0)
 
 
 def _balance(state: IterationState) -> tuple[np.ndarray, np.ndarray]:
-    """Scaling after one more sweep (unit maximum) and its row sums."""
+    """Scaling after one more sweep and its row sums."""
     m = state.tensor.order
-    x = state.x * state.sums ** (1.0 / (m - 1))
-    x /= x.max()
+    x = _rescaled(state)
+    top = x.max()
+    if top ** (m - 1) < 2.0**-511:
+        # a slow run shrinks every entry halfway to underflow; an exact
+        # power-of-two rescale changes no ratio
+        x = np.ldexp(x, -np.frexp(top)[1])
     powered = x ** (m - 1)
     if powered.min() < np.finfo(float).tiny:
         raise FloatingPointError("the (m-1)-th power of the scaling underflowed")
@@ -176,16 +188,15 @@ def _balance(state: IterationState) -> tuple[np.ndarray, np.ndarray]:
 def step(state: IterationState) -> IterationState:
     """One balancing sweep: rescale so the current row sums equalize.
 
-    Folds ``d[i] = sums[i]**(1/(m-1))`` into ``x``, takes the new row sums
-    ``contract(tensor, x) / x**(m-1) + alpha`` in one read-only pass over
-    the unshifted input and folds their ratios into the eigenvector
-    accumulator.  The new bracket is nested inside the old one.  A
-    constant-row-sum state is a fixed point (up to rounding).  Raises
-    ``FloatingPointError`` once ``x**(m-1)`` leaves the normal range, where
-    the row sums would lose their digits.
+    Folds the ratios ``(sums[i] / upper)**(1/(m-1))`` into ``x`` and takes
+    the new row sums ``contract(tensor, x) / x**(m-1) + alpha`` in one
+    read-only pass over the unshifted input.  The new bracket is nested
+    inside the old one.  A constant-row-sum state is a fixed point (up to
+    rounding).  Raises ``FloatingPointError`` once ``x**(m-1)`` leaves the
+    normal range, where the row sums would lose their digits.
     """
     x, sums = _balance(state)
-    return _state_from(state.tensor, state.alpha, x, sums, state.accumulator, state.k + 1)
+    return _state_from(state.tensor, state.alpha, x, sums, state.k + 1)
 
 
 def residual(a: DenseTensor, value: float, vector) -> float:
@@ -237,10 +248,11 @@ def solve(b: DenseTensor, config: SolverConfig | None = None) -> SolveReport:
     reducible input can also drive a scaling entry towards zero; once its
     ``(m-1)``-th power underflows the run stops early, unconverged, with
     the last bracket it could certify.
-    ``b`` is read in place: no shifted copy is built.  The residual is
-    that of ``(rho_shifted, eigenvector)`` on the shifted tensor, against
-    which the accumulator is an (approximate) eigenvector; it equals the
-    defect of ``(rho, eigenvector)`` on ``b`` itself.
+    ``b`` is read in place: no shifted copy is built.  The eigenvector is
+    the last state's ``x`` with its ratios folded in, the scaling the next
+    sweep would use, and the residual is that of ``(rho_shifted,
+    eigenvector)`` on the shifted tensor; it equals the defect of ``(rho,
+    eigenvector)`` on ``b`` itself.
     """
     cfg = config if config is not None else SolverConfig()
     state = init_state(b, cfg)
@@ -252,19 +264,16 @@ def solve(b: DenseTensor, config: SolverConfig | None = None) -> SolveReport:
             break
         if cfg.trace:
             trace.append(_trace_row(state))
-    gap = state.gap
-    rho_shifted = 0.5 * (state.upper + state.lower)
-    rho = rho_shifted - cfg.alpha
+    rho = 0.5 * (state.upper + state.lower) - cfg.alpha
+    eigenvector = _rescaled(state)
     return SolveReport(
-        rho_shifted=rho_shifted,
         rho=rho,
-        eigenvector=state.accumulator,
-        converged=gap <= cfg.tol,
+        eigenvector=eigenvector,
+        converged=state.gap <= cfg.tol,
         iterations=state.k,
         lower=state.lower,
         upper=state.upper,
-        final_gap=gap,
-        residual=residual(b, rho, state.accumulator),
+        residual=residual(b, rho, eigenvector),
         trace=trace,
     )
 

@@ -4,8 +4,7 @@ A tensor is reducible when some nonempty proper index subset ``I`` has
 ``a[i1, i2, ..., im] = 0`` for every ``i1`` in ``I`` and every ``i2..im``
 entirely outside ``I``; irreducible otherwise.  Two independent deciders
 live here: support propagation (fast, any dimension) and exhaustive subset
-search (exact by construction, small dimensions), plus the strict-domination
-probe used by the property tests.
+search (exact by construction, small dimensions).
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import DenseTensor, add_identity_shift, contract
+from .tensor import DenseTensor
 
 # 2**n - 2 subsets get scanned; past this, use irreducible_iterative.
 BRUTE_FORCE_DIM_CAP = 20
@@ -153,33 +152,3 @@ def reducible_bruteforce(b: DenseTensor) -> IrreducibilityVerdict:
             )
     return IrreducibilityVerdict(irreducible=True)
 
-
-def domination_iterates(b: DenseTensor, x, y) -> bool:
-    """Strict-domination probe for the shifted iteration.
-
-    Starting from ``x >= y`` (componentwise, not equal, both nonnegative),
-    runs ``n - 1`` steps of ``v -> (b + identity) v**(m-1)`` on both and
-    reports whether the x-iterate strictly dominates the y-iterate in every
-    component.  True whenever ``b`` is irreducible; may be False otherwise.
-
-    Both iterates are divided by a common factor each step, which leaves
-    every comparison unchanged but avoids overflow for larger ``n``.
-    """
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    if xv.shape != (b.dim,) or yv.shape != (b.dim,):
-        raise ValueError(f"x and y must have length {b.dim}")
-    if (xv < 0).any() or (yv < 0).any():
-        raise ValueError("x and y must be nonnegative")
-    if (xv < yv).any():
-        raise ValueError("x must dominate y componentwise")
-    if np.array_equal(xv, yv):
-        raise ValueError("x and y must differ somewhere")
-    shifted = add_identity_shift(b, 1.0)
-    for _ in range(b.dim - 1):
-        xv = contract(shifted, xv)
-        yv = contract(shifted, yv)
-        scale = xv.max()
-        xv /= scale
-        yv /= scale
-    return bool((xv > yv).all())

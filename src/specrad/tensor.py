@@ -40,9 +40,11 @@ def _validated(arr: np.ndarray) -> np.ndarray:
     n = arr.shape[0]
     if n < 1 or any(s != n for s in arr.shape):
         raise ValueError(f"tensor must be cubical, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    # one min/max pass pair decides both checks: a NaN propagates through each
+    lo, hi = arr.min(), arr.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("tensor entries must be finite")
-    if (arr < 0).any():
+    if lo < 0:
         raise ValueError("tensor entries must be nonnegative")
     arr.flags.writeable = False
     return arr
@@ -196,11 +198,6 @@ def exceeds_entry_cap(order: int, dim: int, max_entries: int) -> bool:
     if dim >= 2 and order > max_entries.bit_length():
         return True
     return dim**order > max_entries
-
-
-def identity_tensor(order: int, dim: int, weight: float = 1.0) -> DenseTensor:
-    """Tensor with ``weight`` on the superdiagonal and zeros elsewhere."""
-    return add_identity_shift(DenseTensor._own(np.zeros((dim,) * order)), weight)
 
 
 def random_tensor(

@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
-from specrad import DenseTensor
+from specrad import DenseTensor, add_identity_shift
 
 # Golden 3x3x3 regression tensor: known spectral radius, eigenvector and
 # per-sweep bound trace (frozen below).
@@ -44,6 +44,11 @@ def golden_file_text() -> str:
 @pytest.fixture
 def golden():
     return golden_b()
+
+
+def identity_tensor(order: int, dim: int, weight: float = 1.0) -> DenseTensor:
+    """Tensor with ``weight`` on the superdiagonal and zeros elsewhere."""
+    return add_identity_shift(DenseTensor(np.zeros((dim,) * order)), weight)
 
 
 def sparse_tensor(order: int, dim: int, seed: int, density: float = 0.3) -> DenseTensor:

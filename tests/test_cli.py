@@ -4,8 +4,8 @@ import sys
 import pytest
 
 from conftest import golden_file_text
-from specrad import random_tensor, read_tensor, write_tensor
-from specrad.cli import main
+from specrad import SolverConfig, random_tensor, read_tensor, write_tensor
+from specrad.cli import build_parser, main
 from specrad.tensor import MAX_ORDER
 
 
@@ -54,6 +54,11 @@ class TestSolveCommand:
         assert main(["solve", golden_path, "--max-iter", "3"]) == 2
         out = capsys.readouterr().out
         assert "iterations = 3" in out
+
+    def test_defaults_are_the_solver_defaults(self):
+        args = build_parser().parse_args(["solve", "t.txt"])
+        config = SolverConfig()
+        assert (args.alpha, args.tol, args.max_iter) == (config.alpha, config.tol, config.max_iter)
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.txt")]) == 1

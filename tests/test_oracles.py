@@ -4,14 +4,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import specrad.oracles
-from conftest import empty_row_tensor, golden_b
+from conftest import empty_row_tensor, golden_b, identity_tensor
 from specrad import (
     DenseTensor,
     SolverConfig,
     add_identity_shift,
     collatz_wielandt_bounds,
     contract,
-    identity_tensor,
     init_state,
     power_iteration,
     random_tensor,
@@ -160,18 +159,17 @@ class TestCollatzWielandtBounds:
             collatz_wielandt_bounds(golden, [1.0, 1.0])
 
     def test_bounds_narrow_along_the_balancing_run(self, golden):
-        # the accumulator after k sweeps reproduces the sweep-(k+1) row-sum
+        # the scaling after k sweeps reproduces the state's own row-sum
         # bracket, so the pointwise bounds tighten monotonically
         shifted = add_identity_shift(golden, 1.0)
         state = init_state(golden, SolverConfig())
         widths = []
         for _ in range(10):
-            lower, upper = collatz_wielandt_bounds(shifted, state.accumulator)
+            lower, upper = collatz_wielandt_bounds(shifted, state.x)
             widths.append(upper - lower)
-            after = step(state)
-            assert lower == pytest.approx(after.lower, abs=1e-9)
-            assert upper == pytest.approx(after.upper, abs=1e-9)
-            state = after
+            assert lower == pytest.approx(state.lower, abs=1e-9)
+            assert upper == pytest.approx(state.upper, abs=1e-9)
+            state = step(state)
         assert all(b <= a + 1e-12 for a, b in zip(widths, widths[1:]))
 
     @settings(max_examples=20, deadline=None)

@@ -13,6 +13,7 @@ from conftest import (
     contraction_factor_loops,
     empty_row_tensor,
     golden_b,
+    identity_tensor,
     sparse_tensor,
 )
 from specrad import (
@@ -21,7 +22,6 @@ from specrad import (
     add_identity_shift,
     contraction_factor,
     diagonal_similarity,
-    identity_tensor,
     init_state,
     power_iteration,
     random_tensor,
@@ -73,9 +73,9 @@ class TestInitState:
 
     def test_accumulator_is_rescaled_ratio(self):
         state = init_state(golden_b(), SolverConfig())
-        expected = (state.sums / state.upper) ** 0.5
-        assert state.accumulator == pytest.approx(expected, rel=1e-15)
-        assert ((state.accumulator > 0) & (state.accumulator <= 1)).all()
+        x = step(state).x
+        assert x == pytest.approx((state.sums / state.upper) ** 0.5, rel=1e-15)
+        assert ((x > 0) & (x <= 1)).all()
 
 
 class TestStep:
@@ -281,6 +281,25 @@ class TestSolveGeneral:
         assert 100 < report.iterations < 5000
         assert report.lower == 1.0
         assert np.isfinite(report.upper) and report.upper > report.lower
+
+    def test_golden_long_run_never_reports_a_subnormal_eigenvector(self, golden):
+        # at alpha=0 the golden bracket stalls while every scaling entry
+        # decays; the eigenvector is the scaling, so it must stay normal
+        report = solve(golden, SolverConfig(alpha=0.0, max_iter=5000))
+        assert not report.converged
+        assert report.eigenvector.min() >= np.finfo(float).tiny
+        assert report.residual > 0
+
+    def test_slow_run_converges_although_the_scaling_drifts_down(self, golden):
+        # a weak coupling makes golden irreducible but slow at alpha=0: every
+        # ratio stays below 1 for thousands of sweeps, so the accumulated
+        # scaling as a whole would underflow long before the bracket closes
+        coupled = DenseTensor(golden.data + 3e-4)
+        report = solve(coupled, SolverConfig(alpha=0.0, max_iter=100_000))
+        assert report.converged and report.iterations > 30_000
+        assert report.eigenvector.min() >= np.finfo(float).tiny
+        reference = solve(coupled, SolverConfig(tol=1e-10))
+        assert report.rho == pytest.approx(reference.rho, abs=1e-7)
 
     def test_matrix_case_agrees_with_dense_eigensolver(self):
         for seed in range(10):

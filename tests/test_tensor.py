@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import contract_loops, golden_b, golden_file_text
+from conftest import contract_loops, golden_b, golden_file_text, identity_tensor
 from specrad import (
     DenseTensor,
     add_identity_shift,
     contract,
     diagonal_similarity,
-    identity_tensor,
     power_iteration,
     random_tensor,
     read_tensor,
@@ -46,6 +45,10 @@ class TestDenseTensor:
             DenseTensor([[np.nan, 0.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="finite"):
             DenseTensor([[np.inf, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            DenseTensor([[np.nan, -1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            DenseTensor([[-np.inf, 0.0], [0.0, 0.0]])
 
     def test_rejects_non_cubical(self):
         with pytest.raises(ValueError, match="cubical"):
