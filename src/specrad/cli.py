@@ -75,17 +75,6 @@ def run_random(args) -> int:
     return EXIT_OK
 
 
-def run_bench(args) -> int:
-    for i in range(args.count):
-        tensor = random_tensor(args.m, args.n, args.seed + i)
-        report = solve(tensor, SolverConfig(trace=False))
-        print(
-            f"({args.n},{args.m}), {report.iterations}, {report.rho_shifted:.6g}, "
-            f"{report.final_gap:.6g}, {report.residual:.6g}"
-        )
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specrad",
@@ -113,13 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_random.add_argument("--seed", type=int, default=0)
     p_random.add_argument("--out", metavar="PATH", help="write here instead of stdout")
     p_random.set_defaults(func=run_random)
-
-    p_bench = sub.add_parser("bench", help="solve a batch of seeded random tensors")
-    p_bench.add_argument("--n", type=int, required=True, help="tensor dimension")
-    p_bench.add_argument("--m", type=int, required=True, help="tensor order")
-    p_bench.add_argument("--count", type=int, default=1, help="instances (seeds seed..seed+count-1)")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.set_defaults(func=run_bench)
 
     return parser
 

@@ -54,8 +54,8 @@ def power_iteration(
     for reducible input) the last valid bracket is returned with
     ``converged=False``.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     m = a.order
     x = np.ones(a.dim)
     y = contract(a, x)

@@ -57,8 +57,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.alpha >= 0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be finite and nonnegative, got {self.alpha}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
@@ -250,22 +250,25 @@ def solve(b: DenseTensor, config: SolverConfig | None = None) -> SolveReport:
     the last bracket it could certify.
     ``b`` is read in place: no shifted copy is built.  The eigenvector is
     the last state's ``x`` with its ratios folded in, the scaling the next
-    sweep would use, and the residual is that of ``(rho_shifted,
-    eigenvector)`` on the shifted tensor; it equals the defect of ``(rho,
-    eigenvector)`` on ``b`` itself.
+    sweep would use; after an underflow stop it is the last ``x`` the guard
+    accepted.  The residual is that of ``(rho_shifted, eigenvector)`` on the
+    shifted tensor; it equals the defect of ``(rho, eigenvector)`` on ``b``
+    itself.
     """
     cfg = config if config is not None else SolverConfig()
     state = init_state(b, cfg)
     trace = [_trace_row(state)] if cfg.trace else []
+    underflow = False
     while state.gap > cfg.tol and state.k < cfg.max_iter:
         try:
             state = step(state)
         except FloatingPointError:
+            underflow = True
             break
         if cfg.trace:
             trace.append(_trace_row(state))
     rho = 0.5 * (state.upper + state.lower) - cfg.alpha
-    eigenvector = _rescaled(state)
+    eigenvector = state.x if underflow else _rescaled(state)
     return SolveReport(
         rho=rho,
         eigenvector=eigenvector,

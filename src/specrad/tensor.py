@@ -200,31 +200,28 @@ def exceeds_entry_cap(order: int, dim: int, max_entries: int) -> bool:
     return dim**order > max_entries
 
 
-def random_tensor(
-    order: int,
-    dim: int,
-    seed: int,
-    high: float = 10.0,
-    max_entries: int = MAX_DENSE_ENTRIES,
-) -> DenseTensor:
-    """Seeded tensor with entries drawn i.i.d. uniform on ``[0, high]``.
+def check_shape(order: int, dim: int) -> None:
+    """Raise ``ValueError`` unless a dense ``(dim,) * order`` tensor can be built.
 
-    The same ``(order, dim, seed)`` always yields a bit-identical tensor.
-    Raises if ``dim**order`` would exceed ``max_entries`` or ``order`` would
-    exceed :data:`MAX_ORDER`.
+    Checks, in this order: ``order >= 2``, ``dim >= 1``, at most
+    :data:`MAX_DENSE_ENTRIES` entries and at most :data:`MAX_ORDER` axes.
     """
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
     if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if exceeds_entry_cap(order, dim, max_entries):
-        # spell the count out only when it is cheap to build
-        count = dim**order if order <= max_entries.bit_length() else f"{dim}**{order}"
-        raise ValueError(
-            f"random tensor with dim={dim}, order={order} needs {count} entries, "
-            f"exceeding the cap of {max_entries}"
-        )
+        raise ValueError(f"dimension must be >= 1, got {dim}")
+    if exceeds_entry_cap(order, dim, MAX_DENSE_ENTRIES):
+        raise ValueError(f"{dim}**{order} entries exceed the cap of {MAX_DENSE_ENTRIES}")
     if order > MAX_ORDER:
         raise ValueError(f"order {order} exceeds numpy's maximum array rank of {MAX_ORDER}")
+
+
+def random_tensor(order: int, dim: int, seed: int) -> DenseTensor:
+    """Seeded tensor with entries drawn i.i.d. uniform on ``[0, 10]``.
+
+    The same ``(order, dim, seed)`` always yields a bit-identical tensor.
+    Raises ``ValueError`` on a shape :func:`check_shape` rejects.
+    """
+    check_shape(order, dim)
     rng = np.random.default_rng(seed)
-    return DenseTensor._own(rng.uniform(0.0, high, size=(dim,) * order))
+    return DenseTensor._own(rng.uniform(0.0, 10.0, size=(dim,) * order))

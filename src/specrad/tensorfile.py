@@ -26,7 +26,7 @@ from typing import IO, Optional, Union
 
 import numpy as np
 
-from .tensor import MAX_DENSE_ENTRIES, MAX_ORDER, DenseTensor, exceeds_entry_cap
+from .tensor import DenseTensor, check_shape
 
 PathOrFile = Union[str, os.PathLike, IO[str]]
 
@@ -49,10 +49,10 @@ def _parse_header(lines) -> tuple[int, int]:
         order, dim = int(parts[0]), int(parts[1])
     except ValueError:
         raise ParseError(1, f"header fields must be integers, got {lines[0]!r}") from None
-    if order < 2:
-        raise ParseError(1, f"order must be >= 2, got {order}")
-    if dim < 1:
-        raise ParseError(1, f"dimension must be >= 1, got {dim}")
+    try:
+        check_shape(order, dim)
+    except ValueError as exc:
+        raise ParseError(1, str(exc)) from None
     return order, dim
 
 
@@ -119,7 +119,7 @@ def _parse_lines(lines: list[str], order: int, dim: int) -> np.ndarray:
     return data
 
 
-def read_tensor(source: PathOrFile, max_entries: int = MAX_DENSE_ENTRIES) -> DenseTensor:
+def read_tensor(source: PathOrFile) -> DenseTensor:
     """Parse a tensor from a path or text file object.
 
     Raises :class:`ParseError` (with the line number) on malformed input.
@@ -132,10 +132,6 @@ def read_tensor(source: PathOrFile, max_entries: int = MAX_DENSE_ENTRIES) -> Den
 
     lines = text.splitlines()
     order, dim = _parse_header(lines)
-    if exceeds_entry_cap(order, dim, max_entries):
-        raise ParseError(1, f"{dim}**{order} entries exceed the cap of {max_entries}")
-    if order > MAX_ORDER:
-        raise ParseError(1, f"order {order} exceeds numpy's maximum array rank of {MAX_ORDER}")
 
     data = _parse_bulk(lines, order, dim)
     if data is None:

@@ -139,29 +139,6 @@ class TestRandomCommand:
         assert f"order {order} exceeds numpy's maximum array rank" in capsys.readouterr().err
 
 
-class TestBenchCommand:
-    def test_rows_and_determinism(self, capsys):
-        assert main(["bench", "--n", "5", "--m", "3", "--count", "3", "--seed", "7"]) == 0
-        first = capsys.readouterr().out
-        assert main(["bench", "--n", "5", "--m", "3", "--count", "3", "--seed", "7"]) == 0
-        second = capsys.readouterr().out
-        assert first == second
-        rows = first.splitlines()
-        assert len(rows) == 3
-        for row in rows:
-            fields = row.split(", ")
-            assert fields[0] == "(5,3)"
-            assert int(fields[1]) <= 20
-            assert float(fields[2]) > 0
-            assert float(fields[3]) <= 1e-7
-            assert float(fields[4]) <= 1e-6
-
-    def test_cap_exceeded_names_shape(self, capsys):
-        assert main(["bench", "--n", "10000", "--m", "3"]) == 1
-        err = capsys.readouterr().err
-        assert "10000" in err
-
-
 def test_module_entry_point_runs(tmp_path):
     path = tmp_path / "golden.txt"
     path.write_text(golden_file_text())

@@ -9,7 +9,6 @@ from specrad import (
     DenseTensor,
     SolverConfig,
     add_identity_shift,
-    collatz_wielandt_bounds,
     contract,
     init_state,
     power_iteration,
@@ -18,6 +17,7 @@ from specrad import (
     solve,
     step,
 )
+from specrad.oracles import collatz_wielandt_bounds
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -54,6 +54,11 @@ class TestPowerIteration:
         assert estimate.lower == estimate.upper == 4.0
         assert estimate.converged
         assert estimate.iterations == 0
+
+    def test_rejects_a_tol_that_is_zero_or_infinite(self, golden):
+        for tol in (0.0, float("inf")):
+            with pytest.raises(ValueError, match="tol"):
+                power_iteration(golden, tol=tol)
 
     def test_golden_bracket(self, golden):
         estimate = power_iteration(add_identity_shift(golden, 1.0))

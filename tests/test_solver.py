@@ -21,16 +21,16 @@ from specrad import (
     SolverConfig,
     add_identity_shift,
     contraction_factor,
-    diagonal_similarity,
     init_state,
     power_iteration,
     random_tensor,
-    residual,
     row_sums,
     solve,
     step,
     write_trace_csv,
 )
+from specrad.solver import residual
+from specrad.tensor import diagonal_similarity
 
 shapes = st.sampled_from([(2, 3), (2, 5), (3, 2), (3, 4), (4, 3)])
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -44,6 +44,8 @@ class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="tol"):
             SolverConfig(tol=0.0)
+        with pytest.raises(ValueError, match="tol"):
+            SolverConfig(tol=float("inf"))
         with pytest.raises(ValueError, match="max_iter"):
             SolverConfig(max_iter=0)
         with pytest.raises(ValueError, match="alpha"):
@@ -287,6 +289,14 @@ class TestSolveGeneral:
         # decays; the eigenvector is the scaling, so it must stay normal
         report = solve(golden, SolverConfig(alpha=0.0, max_iter=5000))
         assert not report.converged
+        assert report.eigenvector.min() >= np.finfo(float).tiny
+        assert report.residual > 0
+
+    def test_underflow_stop_reports_the_last_guarded_scaling(self):
+        # at order 2 the guard watches x itself; the vector it rejects on the
+        # underflow stop must not become the eigenvector
+        report = solve(DenseTensor([[1.0, 0.0], [1.0, 2.0]]), SolverConfig(alpha=0.0, max_iter=5000))
+        assert not report.converged and report.iterations < 5000
         assert report.eigenvector.min() >= np.finfo(float).tiny
         assert report.residual > 0
 

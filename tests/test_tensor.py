@@ -11,14 +11,13 @@ from specrad import (
     DenseTensor,
     add_identity_shift,
     contract,
-    diagonal_similarity,
     power_iteration,
     random_tensor,
     read_tensor,
-    residual,
     row_sums,
 )
-from specrad.tensor import MAX_ORDER
+from specrad.solver import residual
+from specrad.tensor import MAX_ORDER, diagonal_similarity
 
 shapes = st.sampled_from([(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)])
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -311,14 +310,15 @@ class TestRandomTensor:
         assert abs(t.data.mean() - 5.0) <= 0.2
 
     def test_entry_cap(self):
-        with pytest.raises(ValueError, match="exceeding the cap"):
+        with pytest.raises(ValueError, match="1000\\*\\*3 entries exceed the cap"):
             random_tensor(3, 1000, seed=0)
+        # 64M entries, just over the cap: rejected before anything is allocated
         with pytest.raises(ValueError, match="cap"):
-            random_tensor(2, 4, seed=0, max_entries=15)
+            random_tensor(3, 400, 0)
 
     def test_entry_cap_is_decided_without_the_power(self):
         # 1000**20000000 has 60 million digits; the cap check must not build it
-        with pytest.raises(ValueError, match="needs 1000\\*\\*20000000 entries, exceeding the cap"):
+        with pytest.raises(ValueError, match="1000\\*\\*20000000 entries exceed the cap"):
             random_tensor(20_000_000, 1000, seed=0)
 
     def test_cap_shortcut_agrees_with_the_power(self):
