@@ -5,6 +5,10 @@ For each (n, m) shape, solves seeded uniform-[0,10] tensors and prints the
 sweep count, spectral-radius estimate of the shifted tensor, final gap,
 eigen-equation residual and wall time.  Cross-checks each result against
 the power-iteration bracket.
+
+The wall time covers ``solve`` alone, which reads the entries once per sweep
+(``k`` passes): the initial row sums were taken when the tensor was built and
+validated, and the residual comes from the last sweep's row sums.
 """
 
 import argparse

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DenseTensor, contract
+from .tensor import DenseTensor, contract, row_sums
 
 ORACLE_TOL = 1e-9
 ORACLE_MAX_ITER = 10_000
@@ -48,8 +48,10 @@ def power_iteration(
     (unit maximum entry) and evaluates the pointwise bracket at each new
     iterate; stops once the bracket closes to ``tol``.  One contraction per
     iteration serves both: ``y = contract(a, x)`` gives the bracket
-    ``y / x**(m-1)`` at ``x`` and the next iterate ``y**(1/(m-1))``.  For
-    irreducible input the bracket contains the spectral radius throughout.
+    ``y / x**(m-1)`` at ``x`` and the next iterate ``y**(1/(m-1))``; at the
+    all-ones start ``y`` is the stored :func:`row_sums`, so the start costs
+    no pass.  For irreducible input the bracket contains the spectral radius
+    throughout.
     If an iterate's ``(m-1)``-th power develops a zero component (possible
     for reducible input) the last valid bracket is returned with
     ``converged=False``.
@@ -58,7 +60,7 @@ def power_iteration(
         raise ValueError(f"tol must be finite and positive, got {tol}")
     m = a.order
     x = np.ones(a.dim)
-    y = contract(a, x)
+    y = row_sums(a)
     if (y == 0).any():
         row = int(np.argmin(y)) + 1
         raise ValueError(f"row {row} has zero row sum; power iteration needs positive rows")

@@ -14,7 +14,10 @@ Math. 235, 2010), so the balanced row sums are the Collatz-Wielandt ratios
 scaling ``x``, the product of the per-sweep ratios ``(R[i] / max R)**(1/(m-1))``.
 The state is the input, ``alpha`` and the length-n vector ``x``, and a sweep
 is one read-only contraction of the input (the Ng-Qi-Zhou power iteration,
-SIAM J. Matrix Anal. Appl. 31, 2009).
+SIAM J. Matrix Anal. Appl. 31, 2009).  That is the only pass a solve makes
+over the entries: the initial row sums come from validation, the reported
+eigenvector is the scaling the last sweep contracted at, and its residual is
+computed from that sweep's row sums.
 
 Iteration counters: state ``k`` counts balancing sweeps performed, while
 trace rows are numbered from 1 (row 1 holds the initial, unbalanced row-sum
@@ -75,8 +78,9 @@ class IterationState:
     (rescaled by a power of two, which changes no ratio, if it drifts far
     below 1).  The balanced tensor is ``diagonal_similarity`` of the shifted
     tensor by ``x``, ``sums`` are its row sums and ``upper``/``lower`` their
-    extremes (the certified bracket).  Folding the current ratios into ``x``
-    gives the next scaling: at convergence, the shifted tensor's eigenvector.
+    extremes (the certified bracket).  ``sums`` are taken at ``x`` itself, so
+    once the bracket closes ``x`` is the shifted tensor's eigenvector and
+    ``sums`` certify it with no further pass.
     """
 
     tensor: DenseTensor
@@ -116,7 +120,8 @@ class SolveReport:
     ``rho_shifted`` is the bracket midpoint for the shifted tensor and
     ``rho = rho_shifted - alpha`` the estimate for the input itself.
     ``residual`` is the infinity-norm eigen-equation defect of
-    ``(rho_shifted, eigenvector)`` on the shifted tensor.
+    ``(rho_shifted, eigenvector)`` on the shifted tensor, taken from the
+    last row sums.
     ``iterations`` counts balancing sweeps (zero when the initial row sums
     are already constant).
     """
@@ -147,11 +152,6 @@ def _state_from(tensor, alpha, x, sums, k) -> IterationState:
     return IterationState(tensor, alpha, x, sums, float(sums.max()), float(sums.min()), k)
 
 
-def _rescaled(state: IterationState) -> np.ndarray:
-    """``x`` with the current ratios ``(sums / upper)**(1/(m-1))`` folded in."""
-    return state.x * (state.sums / state.upper) ** (1.0 / (state.tensor.order - 1))
-
-
 def init_state(b: DenseTensor, config: SolverConfig) -> IterationState:
     """Take the initial row-sum bracket of ``b`` shifted by ``config.alpha``.
 
@@ -173,7 +173,7 @@ def init_state(b: DenseTensor, config: SolverConfig) -> IterationState:
 def _balance(state: IterationState) -> tuple[np.ndarray, np.ndarray]:
     """Scaling after one more sweep and its row sums."""
     m = state.tensor.order
-    x = _rescaled(state)
+    x = state.x * (state.sums / state.upper) ** (1.0 / (m - 1))
     top = x.max()
     if top ** (m - 1) < 2.0**-511:
         # a slow run shrinks every entry halfway to underflow; an exact
@@ -248,35 +248,35 @@ def solve(b: DenseTensor, config: SolverConfig | None = None) -> SolveReport:
     reducible input can also drive a scaling entry towards zero; once its
     ``(m-1)``-th power underflows the run stops early, unconverged, with
     the last bracket it could certify.
-    ``b`` is read in place: no shifted copy is built.  The eigenvector is
-    the last state's ``x`` with its ratios folded in, the scaling the next
-    sweep would use; after an underflow stop it is the last ``x`` the guard
-    accepted.  The residual is that of ``(rho_shifted, eigenvector)`` on the
-    shifted tensor; it equals the defect of ``(rho, eigenvector)`` on ``b``
-    itself.
+    ``b`` is read in place: no shifted copy is built, and a run reads its
+    entries exactly once per sweep (the initial row sums were taken when
+    ``b`` was validated).  The eigenvector is the last state's ``x``, the
+    scaling the last sweep contracted at (after an underflow stop, the last
+    one the guard accepted).  The residual comes from that sweep's row sums:
+    ``max_i |sums[i] - rho_shifted| * x[i]**(m-1)``, the defect of
+    ``(rho_shifted, eigenvector)`` on the shifted tensor, which equals that
+    of ``(rho, eigenvector)`` on ``b`` itself up to rounding.
     """
     cfg = config if config is not None else SolverConfig()
     state = init_state(b, cfg)
     trace = [_trace_row(state)] if cfg.trace else []
-    underflow = False
     while state.gap > cfg.tol and state.k < cfg.max_iter:
         try:
             state = step(state)
         except FloatingPointError:
-            underflow = True
             break
         if cfg.trace:
             trace.append(_trace_row(state))
-    rho = 0.5 * (state.upper + state.lower) - cfg.alpha
-    eigenvector = state.x if underflow else _rescaled(state)
+    rho_shifted = 0.5 * (state.upper + state.lower)
+    defect = (state.sums - rho_shifted) * state.x ** (b.order - 1)
     return SolveReport(
-        rho=rho,
-        eigenvector=eigenvector,
+        rho=rho_shifted - cfg.alpha,
+        eigenvector=state.x,
         converged=state.gap <= cfg.tol,
         iterations=state.k,
         lower=state.lower,
         upper=state.upper,
-        residual=residual(b, rho, eigenvector),
+        residual=float(np.max(np.abs(defect))),
         trace=trace,
     )
 

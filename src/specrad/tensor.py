@@ -33,21 +33,33 @@ def _max_array_rank() -> int:
 MAX_ORDER = _max_array_rank()
 
 
-def _validated(arr: np.ndarray) -> np.ndarray:
-    """``arr`` itself, made read-only, once it passes the tensor checks."""
+def _validated(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``arr`` and its row sums, both made read-only, once ``arr`` passes the
+    tensor checks.
+
+    Two passes decide every check: a ``min`` (NaN and ``-inf`` propagate into
+    it) and the row-sum product, which is the certificate the solvers start
+    from.  A row holding ``+inf`` cannot sum to a finite value, so ``max`` runs
+    only when some row sum is not finite; finite entries whose sum overflows
+    still pass.
+    """
     if arr.ndim < 2:
         raise ValueError(f"tensor order must be >= 2, got array of rank {arr.ndim}")
     n = arr.shape[0]
     if n < 1 or any(s != n for s in arr.shape):
         raise ValueError(f"tensor must be cubical, got shape {arr.shape}")
-    # one min/max pass pair decides both checks: a NaN propagates through each
-    lo, hi = arr.min(), arr.max()
-    if not (np.isfinite(lo) and np.isfinite(hi)):
+    lo = arr.min()
+    if not np.isfinite(lo):
+        raise ValueError("tensor entries must be finite")
+    with np.errstate(over="ignore"):
+        sums = arr.reshape(n, -1) @ np.ones(n ** (arr.ndim - 1))
+    if not np.isfinite(sums).all() and not np.isfinite(arr.max()):
         raise ValueError("tensor entries must be finite")
     if lo < 0:
         raise ValueError("tensor entries must be nonnegative")
     arr.flags.writeable = False
-    return arr
+    sums.flags.writeable = False
+    return arr, sums
 
 
 class DenseTensor:
@@ -59,11 +71,12 @@ class DenseTensor:
     spectral theory used downstream assumes nonnegativity.  The constructor
     copies ``data``, so later changes to the caller's array never reach the
     tensor; the package's own constructors hand over a fresh array instead
-    (:meth:`_own`).
+    (:meth:`_own`).  The row sums are computed once, during validation, and
+    kept read-only beside the entries (:func:`row_sums`).
     """
 
     def __init__(self, data):
-        self._data = _validated(np.array(data, dtype=float, order="C"))
+        self._data, self._row_sums = _validated(np.array(data, dtype=float, order="C"))
 
     @classmethod
     def _own(cls, arr: np.ndarray) -> DenseTensor:
@@ -73,7 +86,7 @@ class DenseTensor:
         reach; it becomes read-only and is not copied.
         """
         tensor = cls.__new__(cls)
-        tensor._data = _validated(arr)
+        tensor._data, tensor._row_sums = _validated(arr)
         return tensor
 
     @property
@@ -141,13 +154,14 @@ def contract(a: DenseTensor, x) -> np.ndarray:
 
 
 def row_sums(a: DenseTensor) -> np.ndarray:
-    """Per-row entry sums; equals ``contract(a, ones)`` by construction.
+    """Per-row entry sums, bit-equal to ``contract(a, ones)``.
 
-    The minimum and maximum row sum bracket the spectral radius of any
-    nonnegative tensor, which is what makes these the natural certificate
-    tracked by the balancing solver.
+    Computed once, when the tensor was validated; the read-only array is
+    returned without another pass over the entries.  The minimum and maximum
+    row sum bracket the spectral radius of any nonnegative tensor, which is
+    what makes these the natural certificate tracked by the balancing solver.
     """
-    return contract(a, np.ones(a.dim))
+    return a._row_sums
 
 
 def diagonal_similarity(a: DenseTensor, d) -> DenseTensor:
@@ -184,8 +198,9 @@ def add_identity_shift(b: DenseTensor, alpha: float) -> DenseTensor:
     if not alpha >= 0:
         raise ValueError(f"shift must be nonnegative, got {alpha}")
     out = np.array(b.data, copy=True)
-    idx = np.arange(b.dim)
-    out[(idx,) * b.order] += alpha
+    # (i, ..., i) is flat position i * (1 + n + ... + n**(m-1)); numpy takes
+    # at most 63 index arrays, so index the flat view
+    out.reshape(-1)[:: sum(b.dim**k for k in range(b.order))] += alpha
     return DenseTensor._own(out)
 
 

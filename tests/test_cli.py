@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -42,6 +43,65 @@ class TestSolveCommand:
         assert main(["solve", golden_path, "--oracle"]) == 0
         out = capsys.readouterr().out
         assert "oracle bracket = [6.79262, 6.79262]" in out
+
+    @pytest.mark.parametrize(
+        ("alpha", "code", "lines", "csv_sha256"),
+        [
+            (
+                "0",
+                2,
+                [
+                    "rho = 6.37",
+                    "rho_shifted = 6.37",
+                    "bounds = [3.72, 9.02]",
+                    "gap = 5.3",
+                    "iterations = 100",
+                    "converged = no",
+                    "oracle bracket = [3.72, 9.02] (mid 6.37, 10000 iterations, not converged)",
+                ],
+                "d790f5b6a8309f6a7373fd38c9ac82d06e4aa06ee7548b75b1859694a96ae42a",
+            ),
+            (
+                "1",
+                0,
+                [
+                    "rho = 5.79262",
+                    "rho_shifted = 6.79262",
+                    "bounds = [6.79262, 6.79262]",
+                    "gap = 9.51629e-08",
+                    "iterations = 51",
+                    "converged = yes",
+                    "oracle bracket = [6.79262, 6.79262] (mid 6.79262, 65 iterations, converged)",
+                ],
+                "124ea5857d0772a5609fdca2ed1500f817c5cce612931f0c2ad13a2bcab0ba84",
+            ),
+            (
+                "2.5",
+                0,
+                [
+                    "rho = 5.79262",
+                    "rho_shifted = 8.29262",
+                    "bounds = [8.29262, 8.29262]",
+                    "gap = 4.78886e-08",
+                    "iterations = 20",
+                    "converged = yes",
+                    "oracle bracket = [8.29262, 8.29262] (mid 8.29262, 25 iterations, converged)",
+                ],
+                "a2ba654bbecbad11f53bb525083a5ba0764d8ad8097e8528170a515aa9df741c",
+            ),
+        ],
+    )
+    def test_golden_report_text_is_pinned(
+        self, golden_path, tmp_path, capsys, alpha, code, lines, csv_sha256
+    ):
+        # every line but the residual and the eigenvector is pinned byte for
+        # byte, and so is the whole trace file
+        csv_path = tmp_path / "trace.csv"
+        args = ["solve", golden_path, "--oracle", "--alpha", alpha, "--trace-csv", str(csv_path)]
+        assert main(args) == code
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if not line.startswith(("residual", "eigenvector"))] == lines
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_sha256
 
     def test_normalize_flag_rescales_eigenvector(self, golden_path, capsys):
         main(["solve", golden_path, "--normalize"])

@@ -129,7 +129,7 @@ class TestPowerIteration:
         monkeypatch.setattr(specrad.oracles, "contract", counting)
         estimate = power_iteration(add_identity_shift(golden, 1.0))
         assert estimate.iterations > 1
-        assert len(calls) == estimate.iterations + 1
+        assert len(calls) == estimate.iterations
 
     @settings(max_examples=10, deadline=None)
     @given(seed=seeds)

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import specrad.solver
+import specrad.tensor
 from conftest import (
     GOLDEN_EIGENVECTOR,
     GOLDEN_RHO,
@@ -265,6 +267,27 @@ class TestSolveGeneral:
         assert report.iterations > 1
         assert built == []
 
+    @pytest.mark.parametrize(
+        ("make", "alpha", "passes"),
+        [(golden_b, 1.0, 51), (golden_b, 0.0, 100), (lambda: DenseTensor(np.ones((3, 3, 3))), 1.0, 0)],
+    )
+    def test_one_contraction_per_sweep(self, make, alpha, passes, monkeypatch):
+        # the start takes the row sums stored at validation and the residual
+        # reuses the last sweep's row sums, so sweeps are the only passes
+        b = make()
+        calls = []
+        original = specrad.tensor.contract
+
+        def counting(a, x):
+            calls.append(1)
+            return original(a, x)
+
+        for module in (specrad.tensor, specrad.solver):
+            monkeypatch.setattr(module, "contract", counting)
+        report = solve(b, SolverConfig(alpha=alpha))
+        assert report.iterations == passes
+        assert len(calls) == passes
+
     def test_allocates_nothing_of_the_tensor_size(self):
         b = random_tensor(4, 40, seed=5)
         tracemalloc.start()
@@ -327,6 +350,18 @@ class TestResidual:
     def test_dimension_mismatch(self, golden):
         with pytest.raises(ValueError, match="length 3"):
             residual(golden, 1.0, np.ones(4))
+
+    @settings(max_examples=15, deadline=None)
+    @given(shape=shapes, seed=seeds, alpha=st.sampled_from([0.0, 1.0, 2.5]))
+    def test_solve_reports_the_defect_at_its_own_pair(self, shape, seed, alpha):
+        # solve takes the residual from the last row sums; a fresh
+        # contraction at the reported pair must agree up to rounding
+        order, dim = shape
+        b = random_tensor(order, dim, seed)
+        report = solve(b, SolverConfig(alpha=alpha))
+        scale = report.upper * (report.eigenvector ** (order - 1)).max()
+        fresh = residual(b, report.rho, report.eigenvector)
+        assert abs(report.residual - fresh) <= 1e-13 * scale
 
     def test_agrees_with_oracle_eigenpair(self):
         b = random_tensor(3, 5, seed=21)

@@ -15,6 +15,7 @@ from specrad import (
     random_tensor,
     read_tensor,
     row_sums,
+    write_tensor,
 )
 from specrad.solver import residual
 from specrad.tensor import MAX_ORDER, diagonal_similarity
@@ -48,6 +49,17 @@ class TestDenseTensor:
             DenseTensor([[np.nan, -1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="finite"):
             DenseTensor([[-np.inf, 0.0], [0.0, 0.0]])
+        # +inf with a negative entry still reports the infinity first, and so
+        # does NaN with +inf (the row sums alone would be inf and NaN)
+        with pytest.raises(ValueError, match="finite"):
+            DenseTensor([[np.inf, -1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            DenseTensor([[0.0, 0.0], [np.nan, np.inf]])
+
+    @pytest.mark.filterwarnings("error")
+    def test_accepts_finite_entries_whose_row_sum_overflows(self):
+        t = DenseTensor([[1e308, 1e308], [0.0, 1.0]])
+        assert np.isinf(row_sums(t)[0]) and row_sums(t)[1] == 1.0
 
     def test_rejects_non_cubical(self):
         with pytest.raises(ValueError, match="cubical"):
@@ -196,6 +208,30 @@ class TestRowSums:
         for seed in range(5):
             t = random_tensor(3, 4, seed)
             assert np.array_equal(row_sums(t), contract(t, np.ones(4)))
+
+    @pytest.mark.parametrize(
+        "order, dim",
+        [(2, 7), (3, 7), (4, 5), (5, 4), (6, 3), (7, 3), (8, 3), (MAX_ORDER, 1)],
+    )
+    def test_stored_sums_equal_contract_with_ones_exactly(self, order, dim):
+        t = random_tensor(order, dim, seed=10 * order + dim)
+        buffer = io.StringIO()
+        write_tensor(t, buffer)
+        buffer.seek(0)
+        built = [
+            t,
+            DenseTensor(t.data),
+            read_tensor(buffer),
+            add_identity_shift(t, 2.5),
+            diagonal_similarity(t, np.linspace(0.5, 2.0, dim)),
+        ]
+        for u in built:
+            assert np.array_equal(row_sums(u), contract(u, np.ones(dim)))
+
+    def test_is_read_only(self):
+        sums = row_sums(random_tensor(3, 4, seed=1))
+        with pytest.raises(ValueError):
+            sums[0] = 1.0
 
     def test_all_ones_tensor(self):
         t = DenseTensor(np.ones((2, 2, 2)))
