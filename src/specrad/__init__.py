@@ -20,11 +20,10 @@ from .solver import (
     init_state,
     solve,
     step,
-    write_trace_csv,
 )
 from .structure import IrreducibilityVerdict, irreducible_iterative, reducible_bruteforce
 from .tensor import DenseTensor, add_identity_shift, contract, random_tensor, row_sums
-from .tensorfile import ParseError, read_tensor, write_tensor
+from .tensorfile import ParseError, read_tensor, write_tensor, write_trace_csv
 
 __version__ = "0.1.0"
 

@@ -10,10 +10,10 @@ import argparse
 import sys
 
 from .oracles import power_iteration
-from .solver import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL, SolverConfig, solve, write_trace_csv
+from .solver import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL, SolverConfig, _midpoint, solve
 from .structure import irreducible_iterative
 from .tensor import add_identity_shift, random_tensor
-from .tensorfile import read_tensor, write_tensor
+from .tensorfile import read_tensor, write_tensor, write_trace_csv
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -45,7 +45,7 @@ def run_solve(args) -> int:
 
     if args.oracle:
         estimate = power_iteration(add_identity_shift(tensor, args.alpha))
-        mid = 0.5 * (estimate.lower + estimate.upper)
+        mid = _midpoint(estimate.lower, estimate.upper)
         status = "converged" if estimate.converged else "not converged"
         print(
             f"oracle bracket = [{estimate.lower:.6g}, {estimate.upper:.6g}] "

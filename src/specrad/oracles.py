@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DenseTensor, contract, row_sums
+from .tensor import DenseTensor, _check_start_sums, _check_vector, contract, row_sums
 
 ORACLE_TOL = 1e-9
 ORACLE_MAX_ITER = 10_000
@@ -30,11 +30,9 @@ def collatz_wielandt_bounds(a: DenseTensor, x) -> tuple[float, float]:
     Requires ``x`` strictly positive; with ``x`` all ones this is exactly
     the row-sum bracket.
     """
-    vec = np.asarray(x, dtype=float)
-    if vec.shape != (a.dim,):
-        raise ValueError(f"x must have length {a.dim}, got shape {vec.shape}")
-    if not np.isfinite(vec).all() or (vec <= 0).any():
-        raise ValueError("x must be strictly positive and finite")
+    vec = _check_vector(a, x)
+    if (vec <= 0).any():
+        raise ValueError("x must be strictly positive")
     ratios = contract(a, vec) / vec ** (a.order - 1)
     return float(ratios.min()), float(ratios.max())
 
@@ -52,6 +50,7 @@ def power_iteration(
     all-ones start ``y`` is the stored :func:`row_sums`, so the start costs
     no pass.  For irreducible input the bracket contains the spectral radius
     throughout.
+    Raises ``ValueError`` if a row sums to zero or overflows to ``inf``.
     If an iterate's ``(m-1)``-th power develops a zero component (possible
     for reducible input) the last valid bracket is returned with
     ``converged=False``.
@@ -61,9 +60,7 @@ def power_iteration(
     m = a.order
     x = np.ones(a.dim)
     y = row_sums(a)
-    if (y == 0).any():
-        row = int(np.argmin(y)) + 1
-        raise ValueError(f"row {row} has zero row sum; power iteration needs positive rows")
+    _check_start_sums(y, "the tensor", "power iteration needs positive rows")
     root = 1.0 / (m - 1)
     lower, upper = float(y.min()), float(y.max())
     iterations = 0

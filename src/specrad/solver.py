@@ -28,17 +28,22 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 from dataclasses import dataclass, field
-from typing import IO, Union
 
 import numpy as np
 
-from .tensor import DenseTensor, _kron_weights, contract, row_sums
+from .tensor import DenseTensor, _check_start_sums, _rescaled_rows, contract, row_sums
 
 DEFAULT_ALPHA = 1.0
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 100
+
+
+def _midpoint(lower: float, upper: float) -> float:
+    """Midpoint of ``[lower, upper]``, finite up to the largest float (where
+    ``0.5 * (lower + upper)`` overflows) and bit-equal to that form when both
+    halves are normal floats."""
+    return 0.5 * lower + 0.5 * upper
 
 
 @dataclass(frozen=True)
@@ -110,7 +115,7 @@ class TraceRow:
 
     @property
     def midpoint(self) -> float:
-        return 0.5 * (self.upper + self.lower)
+        return _midpoint(self.lower, self.upper)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,7 +142,7 @@ class SolveReport:
 
     @property
     def rho_shifted(self) -> float:
-        return 0.5 * (self.upper + self.lower)
+        return _midpoint(self.lower, self.upper)
 
     @property
     def final_gap(self) -> float:
@@ -157,16 +162,12 @@ def init_state(b: DenseTensor, config: SolverConfig) -> IterationState:
 
     The shifted row sums are ``row_sums(b) + alpha``; ``b`` is neither
     copied nor re-validated.  Raises if some row of the shifted tensor sums
-    to zero (possible only with ``alpha = 0`` and a zero row in ``b``); the
-    iteration needs every row sum strictly positive.
+    to zero (possible only with ``alpha = 0`` and a zero row in ``b``) or
+    overflows to ``inf``; the iteration needs every row sum strictly
+    positive and finite.
     """
     sums = row_sums(b) + config.alpha
-    if (sums == 0).any():
-        row = int(np.argmin(sums)) + 1
-        raise ValueError(
-            f"row {row} of the shifted tensor has zero row sum; "
-            "use a positive alpha or remove zero rows"
-        )
+    _check_start_sums(sums, "the shifted tensor", "use a positive alpha or remove zero rows")
     return _state_from(b, config.alpha, np.ones(b.dim), sums, 0)
 
 
@@ -216,22 +217,20 @@ def contraction_factor(state: IterationState) -> float:
     of row ``t``, the factor is one minus the complementary mass
     ``(sum of a[s, tau] off J + sum of a[t, tau] on J) / upper``, with ``a``
     the balanced shifted tensor.  Undefined (raises) when the row sums are
-    already constant.  Rows ``s`` and ``t`` of ``a`` are rescaled from the
-    unshifted input on the fly; the shift then adds ``alpha`` at each row's
-    own superdiagonal position, whose rescaled weight is exactly 1.
+    already constant.  Rows ``s`` and ``t`` come from the helper behind
+    ``diagonal_similarity(tensor, x)``, applied to those two rows only; the
+    shift then adds ``alpha`` at each row's own superdiagonal position,
+    whose rescaled weight is exactly 1.
     """
     if not state.upper > state.lower:
         raise ValueError("row sums are constant; contraction factor is undefined")
-    tensor, x, sums = state.tensor, state.x, state.sums
-    m, n = tensor.order, tensor.dim
+    m, n, sums = state.tensor.order, state.tensor.dim, state.sums
     _, next_sums = _balance(state)
     s = int(np.argmax(next_sums))
     t = int(np.argmin(next_sums))
-    weights = _kron_weights(x, m)
+    row_s, row_t = _rescaled_rows(state.tensor, state.x, [s, t])
     # flat position of (i, ..., i) within the n**(m-1) entries of row i
     diagonal_stride = sum(n**k for k in range(m - 1))
-    row_s = tensor.data[s].reshape(-1) * weights / x[s] ** (m - 1)
-    row_t = tensor.data[t].reshape(-1) * weights / x[t] ** (m - 1)
     row_s[s * diagonal_stride] += state.alpha
     row_t[t * diagonal_stride] += state.alpha
     on_j = row_s / sums[s] >= row_t / sums[t]
@@ -267,7 +266,7 @@ def solve(b: DenseTensor, config: SolverConfig | None = None) -> SolveReport:
             break
         if cfg.trace:
             trace.append(_trace_row(state))
-    rho_shifted = 0.5 * (state.upper + state.lower)
+    rho_shifted = _midpoint(state.lower, state.upper)
     defect = (state.sums - rho_shifted) * state.x ** (b.order - 1)
     return SolveReport(
         rho=rho_shifted - cfg.alpha,
@@ -280,17 +279,3 @@ def solve(b: DenseTensor, config: SolverConfig | None = None) -> SolveReport:
         trace=trace,
     )
 
-
-def write_trace_csv(trace: list[TraceRow], dest: Union[str, os.PathLike, IO[str]]) -> None:
-    """Write trace rows as CSV with header ``k,r,R,gap,mid`` (6 significant digits)."""
-    lines = ["k,r,R,gap,mid"]
-    for row in trace:
-        lines.append(
-            f"{row.k},{row.lower:.6g},{row.upper:.6g},{row.gap:.6g},{row.midpoint:.6g}"
-        )
-    text = "\n".join(lines) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w", encoding="utf-8") as handle:
-            handle.write(text)

@@ -164,29 +164,41 @@ def row_sums(a: DenseTensor) -> np.ndarray:
     return a._row_sums
 
 
+def _check_start_sums(sums: np.ndarray, label: str, zero_hint: str) -> None:
+    """Raise ``ValueError`` naming the first row of ``label`` whose sum is zero
+    or overflows (finite entries can sum to ``inf``); both iterations divide by
+    the row sums they start from."""
+    for bad, problem in (
+        (sums == 0, f"zero row sum; {zero_hint}"),
+        (~np.isfinite(sums), "a row sum that overflows; scale the entries down"),
+    ):
+        if bad.any():
+            raise ValueError(f"row {int(np.argmax(bad)) + 1} of {label} has {problem}")
+
+
+def _rescaled_rows(a: DenseTensor, d: np.ndarray, rows) -> np.ndarray:
+    """Fresh ``(len(rows), n**(m-1))`` array of rows ``rows`` (a slice or a
+    list of indices) of ``diagonal_similarity(a, d)``, each flattened:
+    ``a[i, i2, ..., im] * d[i2] * ... * d[im] / d[i]**(m-1)``."""
+    m = a.order
+    out = a.data.reshape(a.dim, -1)[rows] * _kron_weights(d, m)
+    out /= (d[rows] ** (m - 1))[:, None]
+    return out
+
+
 def diagonal_similarity(a: DenseTensor, d) -> DenseTensor:
     """Rescale by a positive diagonal, preserving the spectrum.
 
     Entry ``(i1, ..., im)`` becomes
     ``a[i1, ..., im] * d[i2] * ... * d[im] / d[i1]**(m-1)``.
     Eigenvalues are invariant; an eigenvector ``x`` of ``a`` corresponds to
-    the eigenvector ``x / d`` of the result.
+    the eigenvector ``x / d`` of the result.  The rows come from
+    :func:`_rescaled_rows`, as do the two the contraction factor reads.
     """
-    vec = np.asarray(d, dtype=float)
-    if vec.shape != (a.dim,):
-        raise ValueError(f"scaling vector must have length {a.dim}, got shape {vec.shape}")
-    if not np.isfinite(vec).all() or (vec <= 0).any():
-        raise ValueError("scaling vector entries must be finite and strictly positive")
-    m, n = a.order, a.dim
-    out = np.array(a.data, copy=True)
-    for axis in range(1, m):
-        shape = [1] * m
-        shape[axis] = n
-        out *= vec.reshape(shape)
-    shape = [1] * m
-    shape[0] = n
-    out /= (vec ** (m - 1)).reshape(shape)
-    return DenseTensor._own(out)
+    vec = _check_vector(a, d, "scaling vector")
+    if (vec <= 0).any():
+        raise ValueError("scaling vector entries must be strictly positive")
+    return DenseTensor._own(_rescaled_rows(a, vec, slice(None)).reshape(a.data.shape))
 
 
 def add_identity_shift(b: DenseTensor, alpha: float) -> DenseTensor:
@@ -204,17 +216,6 @@ def add_identity_shift(b: DenseTensor, alpha: float) -> DenseTensor:
     return DenseTensor._own(out)
 
 
-def exceeds_entry_cap(order: int, dim: int, max_entries: int) -> bool:
-    """Whether ``dim**order > max_entries``, without building a huge power.
-
-    For ``dim >= 2`` the power is at least ``2**order``, which exceeds the
-    cap as soon as ``order`` passes the cap's bit length.
-    """
-    if dim >= 2 and order > max_entries.bit_length():
-        return True
-    return dim**order > max_entries
-
-
 def check_shape(order: int, dim: int) -> None:
     """Raise ``ValueError`` unless a dense ``(dim,) * order`` tensor can be built.
 
@@ -225,7 +226,8 @@ def check_shape(order: int, dim: int) -> None:
         raise ValueError(f"order must be >= 2, got {order}")
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    if exceeds_entry_cap(order, dim, MAX_DENSE_ENTRIES):
+    # for dim >= 2 a long order exceeds the cap without building the power
+    if dim >= 2 and order > MAX_DENSE_ENTRIES.bit_length() or dim**order > MAX_DENSE_ENTRIES:
         raise ValueError(f"{dim}**{order} entries exceed the cap of {MAX_DENSE_ENTRIES}")
     if order > MAX_ORDER:
         raise ValueError(f"order {order} exceeds numpy's maximum array rank of {MAX_ORDER}")

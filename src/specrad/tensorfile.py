@@ -1,6 +1,6 @@
-"""Plain-text tensor files.
+"""Plain-text tensor files and convergence-trace files.
 
-Format::
+Tensor format::
 
     m n
     i1 i2 ... im value
@@ -16,6 +16,9 @@ about) is parsed again line by line; that per-line pass is the only source
 of :class:`ParseError` and its line number, and it also accepts the few
 spellings ``int``/``float`` take but ``loadtxt`` does not (``1_0``,
 non-ASCII digits), with the same result.
+
+Traces are written as CSV with the header ``k,r,R,gap,mid``.  Both writers
+take a path or a text stream.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from typing import IO, Optional, Union
 
 import numpy as np
 
+from .solver import TraceRow
 from .tensor import DenseTensor, check_shape
 
 PathOrFile = Union[str, os.PathLike, IO[str]]
@@ -150,7 +154,16 @@ def write_tensor(tensor: DenseTensor, dest: PathOrFile) -> None:
     # flat indexing: one index array per axis fails at numpy's maximum rank
     values = map(repr, tensor.entries[np.flatnonzero(tensor.entries)].tolist())
     rows = map("".join, zip(*columns, values))
-    text = "\n".join([f"{tensor.order} {tensor.dim}", *rows]) + "\n"
+    _write_text("\n".join([f"{tensor.order} {tensor.dim}", *rows]) + "\n", dest)
+
+
+def write_trace_csv(trace: list[TraceRow], dest: PathOrFile) -> None:
+    """Write trace rows as CSV with header ``k,r,R,gap,mid`` (6 significant digits)."""
+    rows = (f"{r.k},{r.lower:.6g},{r.upper:.6g},{r.gap:.6g},{r.midpoint:.6g}" for r in trace)
+    _write_text("\n".join(["k,r,R,gap,mid", *rows]) + "\n", dest)
+
+
+def _write_text(text: str, dest: PathOrFile) -> None:
     if hasattr(dest, "write"):
         dest.write(text)
     else:

@@ -88,6 +88,18 @@ def contract_loops(t: DenseTensor, x) -> np.ndarray:
     return out
 
 
+def diagonal_similarity_loops(t: DenseTensor, d) -> np.ndarray:
+    """Scalar-loop ``a[i1..im] * d[i2] * ... * d[im] / d[i1]**(m-1)``, entry by entry."""
+    n, m = t.dim, t.order
+    out = np.zeros(t.data.shape)
+    for index in itertools.product(range(n), repeat=m):
+        term = float(t.data[index])
+        for j in index[1:]:
+            term *= float(d[j])
+        out[index] = term / float(d[index[0]]) ** (m - 1)
+    return out
+
+
 def reducing_subset_ok(t: DenseTensor, witness_1based) -> bool:
     """Entry-by-entry zero-pattern check of a claimed reducing subset."""
     n, m = t.dim, t.order

@@ -2,10 +2,11 @@ import hashlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import golden_file_text
-from specrad import SolverConfig, random_tensor, read_tensor, write_tensor
+from specrad import DenseTensor, SolverConfig, random_tensor, read_tensor, write_tensor
 from specrad.cli import build_parser, main
 from specrad.tensor import MAX_ORDER
 
@@ -135,6 +136,23 @@ class TestSolveCommand:
         path.write_text("2 2\n2 1 1.0\n")
         assert main(["solve", str(path), "--alpha", "0"]) == 1
         assert "row 1" in capsys.readouterr().err
+
+    def test_overflowing_row_sum_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "overflow.txt"
+        path.write_text("2 2\n1 1 1e308\n1 2 1e308\n2 2 1\n")
+        assert main(["solve", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: row 1 of the shifted tensor has a row sum that overflows" in captured.err
+
+    def test_oracle_midpoint_is_finite_near_the_largest_float(self, tmp_path, capsys):
+        path = tmp_path / "big.txt"
+        write_tensor(DenseTensor(np.full((3, 3, 3), 1e307)), str(path))
+        assert main(["solve", str(path), "--alpha", "0", "--oracle"]) == 0
+        out = capsys.readouterr().out
+        assert "inf" not in out
+        assert "rho = 9e+307" in out
+        assert "oracle bracket = [9e+307, 9e+307] (mid 9e+307, 0 iterations, converged)" in out
 
 
 class TestCheckCommand:

@@ -75,6 +75,13 @@ class TestInitState:
         with pytest.raises(ValueError, match="row 1.*zero row sum"):
             init_state(DenseTensor(data), SolverConfig(alpha=0.0))
 
+    def test_overflowing_row_sum_is_an_error(self):
+        # finite entries whose sum overflows: named, not a failure mid-sweep
+        with pytest.raises(ValueError, match="row 1 .*row sum that overflows"):
+            init_state(DenseTensor([[1e308, 1e308], [0.0, 1.0]]), SolverConfig())
+        with pytest.raises(ValueError, match="row 2 .*row sum that overflows"):
+            solve(DenseTensor([[0.0, 1.0], [1e308, 1e308]]), SolverConfig(alpha=0.0))
+
     def test_accumulator_is_rescaled_ratio(self):
         state = init_state(golden_b(), SolverConfig())
         x = step(state).x
@@ -180,6 +187,13 @@ class TestSolveGeneral:
         assert report.converged
         assert report.rho_shifted == 5.0
         assert report.rho == 4.0
+
+    def test_bracket_near_the_largest_float_has_a_finite_midpoint(self):
+        # both bounds are 9e307, so their plain sum would overflow
+        report = solve(DenseTensor(np.full((3, 3, 3), 1e307)), SolverConfig(alpha=0.0))
+        assert report.converged
+        assert report.rho == report.rho_shifted == report.trace[0].midpoint == 9e307
+        assert report.residual == 0.0
 
     def test_trace_can_be_disabled(self, golden):
         report = solve(golden, SolverConfig(trace=False))

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import contract_loops, golden_b, golden_file_text, identity_tensor
+from conftest import (
+    contract_loops,
+    diagonal_similarity_loops,
+    golden_b,
+    golden_file_text,
+    identity_tensor,
+)
 from specrad import (
     DenseTensor,
     add_identity_shift,
@@ -18,7 +24,7 @@ from specrad import (
     write_tensor,
 )
 from specrad.solver import residual
-from specrad.tensor import MAX_ORDER, diagonal_similarity
+from specrad.tensor import MAX_DENSE_ENTRIES, MAX_ORDER, check_shape, diagonal_similarity
 
 shapes = st.sampled_from([(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)])
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -263,10 +269,17 @@ class TestDiagonalSimilarity:
 
     def test_rejects_nonpositive_scaling(self):
         t = random_tensor(3, 3, seed=0)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="strictly positive"):
             diagonal_similarity(t, [1.0, 0.0, 1.0])
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="strictly positive"):
             diagonal_similarity(t, [1.0, -2.0, 1.0])
+
+    @pytest.mark.parametrize(("order", "dim"), [(2, 6), (3, 5), (4, 4), (5, 3), (6, 3)])
+    def test_matches_scalar_loop_entrywise(self, order, dim):
+        t = random_tensor(order, dim, seed=order)
+        d = 10.0 ** np.random.default_rng(dim).uniform(-3.0, 3.0, size=dim)
+        expected = diagonal_similarity_loops(t, d)
+        np.testing.assert_allclose(diagonal_similarity(t, d).data, expected, rtol=1e-14, atol=0)
 
     @settings(max_examples=30, deadline=None)
     @given(shape=shapes, seed=seeds)
@@ -358,12 +371,14 @@ class TestRandomTensor:
             random_tensor(20_000_000, 1000, seed=0)
 
     def test_cap_shortcut_agrees_with_the_power(self):
-        from specrad.tensor import exceeds_entry_cap
-
-        for cap in (1, 15, 16, 17, 50_000_000):
-            for dim in (1, 2, 3, 10):
-                for order in range(1, 40):
-                    assert exceeds_entry_cap(order, dim, cap) == (dim**order > cap)
+        for dim in (1, 2, 3, 10):
+            for order in range(1, 40):
+                try:
+                    check_shape(order, dim)
+                    capped = False
+                except ValueError as exc:
+                    capped = "exceed the cap" in str(exc)
+                assert capped == (dim**order > MAX_DENSE_ENTRIES), (order, dim)
 
     def test_order_above_the_array_rank_limit(self):
         from specrad.tensor import MAX_ORDER
