@@ -15,6 +15,7 @@ import argparse
 import time
 
 from specrad import SolverConfig, add_identity_shift, power_iteration, random_tensor, solve
+from specrad.solver import _midpoint
 
 DEFAULT_SHAPES = "10,3 5,3 20,3 30,3 5,4 10,4 5,5 5,6"
 
@@ -53,7 +54,7 @@ def main() -> int:
             )
             if not args.skip_oracle:
                 estimate = power_iteration(add_identity_shift(tensor, 1.0))
-                mid = 0.5 * (estimate.lower + estimate.upper)
+                mid = _midpoint(estimate.lower, estimate.upper)
                 line += f" {abs(report.rho_shifted - mid):>12.3g}"
             print(line)
     return 0

@@ -1,4 +1,10 @@
-"""Independent estimators used to cross-validate the balancing solver."""
+"""Independent estimators used to cross-validate the balancing solver.
+
+:func:`power_iteration` runs on arrays and floats and contracts through the
+unchecked kernel behind :func:`~specrad.tensor.contract`, since its
+iterates are built and checked inside the loop; the :class:`OracleEstimate`
+dataclass is built once, for the result.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DenseTensor, _check_start_sums, _check_vector, contract, row_sums
+from .tensor import DenseTensor, _check_start_sums, _check_vector, _contract, row_sums
 
 ORACLE_TOL = 1e-9
 ORACLE_MAX_ITER = 10_000
@@ -33,7 +39,7 @@ def collatz_wielandt_bounds(a: DenseTensor, x) -> tuple[float, float]:
     vec = _check_vector(a, x)
     if (vec <= 0).any():
         raise ValueError("x must be strictly positive")
-    ratios = contract(a, vec) / vec ** (a.order - 1)
+    ratios = _contract(a._rows, vec, a.order) / vec ** (a.order - 1)
     return float(ratios.min()), float(ratios.max())
 
 
@@ -57,23 +63,25 @@ def power_iteration(
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    m = a.order
+    rows, m = a._rows, a.order
     x = np.ones(a.dim)
     y = row_sums(a)
     _check_start_sums(y, "the tensor", "power iteration needs positive rows")
     root = 1.0 / (m - 1)
-    lower, upper = float(y.min()), float(y.max())
+    lower, upper = float(np.minimum.reduce(y)), float(np.maximum.reduce(y))
     iterations = 0
     while upper - lower > tol and iterations < max_iter:
         nxt = y**root
-        nxt /= nxt.max()
+        nxt /= np.maximum.reduce(nxt)
         iterations += 1
         powered = nxt ** (m - 1)
-        if (powered == 0).any():
-            return OracleEstimate(lower, upper, x, iterations, converged=False)
-        if not np.isfinite(nxt).all():
+        # a positive minimum rules out a zero power and, since nxt <= 1 and
+        # NaN propagates into the minimum, a non-finite iterate
+        if not np.minimum.reduce(powered) > 0:
+            if (powered == 0).any():
+                return OracleEstimate(lower, upper, x, iterations, converged=False)
             raise ValueError("power iteration produced a non-finite iterate")
-        y = contract(a, nxt)
+        y = _contract(rows, nxt, m)
         ratios = y / powered
-        x, lower, upper = nxt, float(ratios.min()), float(ratios.max())
+        x, lower, upper = nxt, float(np.minimum.reduce(ratios)), float(np.maximum.reduce(ratios))
     return OracleEstimate(lower, upper, x, iterations, converged=upper - lower <= tol)

@@ -19,6 +19,12 @@ over the entries: the initial row sums come from validation, the reported
 eigenvector is the scaling the last sweep contracted at, and its residual is
 computed from that sweep's row sums.
 
+One kernel, :func:`_balance`, performs every sweep.  It works on arrays and
+floats, and :func:`solve` runs it on plain locals, so the frozen dataclasses
+are built only at the public boundary: :func:`init_state` and :func:`step`
+return an :class:`IterationState`, and a traced run keeps one
+:class:`TraceRow` per sweep.
+
 Iteration counters: state ``k`` counts balancing sweeps performed, while
 trace rows are numbered from 1 (row 1 holds the initial, unbalanced row-sum
 extremes), so row ``k + 1`` describes the state after ``k`` sweeps.
@@ -32,11 +38,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import DenseTensor, _check_start_sums, _rescaled_rows, contract, row_sums
+from .tensor import DenseTensor, _check_start_sums, _contract, _rescaled_rows, contract, row_sums
 
 DEFAULT_ALPHA = 1.0
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 100
+
+_TINY = np.finfo(float).tiny
 
 
 def _midpoint(lower: float, upper: float) -> float:
@@ -149,12 +157,13 @@ class SolveReport:
         return self.upper - self.lower
 
 
-def _trace_row(state: IterationState) -> TraceRow:
-    return TraceRow(k=state.k + 1, lower=state.lower, upper=state.upper)
-
-
 def _state_from(tensor, alpha, x, sums, k) -> IterationState:
-    return IterationState(tensor, alpha, x, sums, float(sums.max()), float(sums.min()), k)
+    return IterationState(tensor, alpha, x, sums, *_bracket(sums), k)
+
+
+def _bracket(sums: np.ndarray) -> tuple[float, float]:
+    """``(upper, lower)``: the extremes of the row sums."""
+    return float(np.maximum.reduce(sums)), float(np.minimum.reduce(sums))
 
 
 def init_state(b: DenseTensor, config: SolverConfig) -> IterationState:
@@ -171,19 +180,23 @@ def init_state(b: DenseTensor, config: SolverConfig) -> IterationState:
     return _state_from(b, config.alpha, np.ones(b.dim), sums, 0)
 
 
-def _balance(state: IterationState) -> tuple[np.ndarray, np.ndarray]:
-    """Scaling after one more sweep and its row sums."""
-    m = state.tensor.order
-    x = state.x * (state.sums / state.upper) ** (1.0 / (m - 1))
-    top = x.max()
+def _balance(rows, m, alpha, x, sums, upper) -> tuple[np.ndarray, np.ndarray]:
+    """Scaling after one more sweep from ``(x, sums, upper)`` and its row sums.
+
+    The one iteration kernel: ``rows`` is the input's row view (``_rows``)
+    and ``m`` its order.  Works on arrays and floats only, so :func:`solve`
+    runs it without building a state per sweep.
+    """
+    x = x * (sums / upper) ** (1.0 / (m - 1))
+    top = np.maximum.reduce(x)
     if top ** (m - 1) < 2.0**-511:
         # a slow run shrinks every entry halfway to underflow; an exact
         # power-of-two rescale changes no ratio
         x = np.ldexp(x, -np.frexp(top)[1])
     powered = x ** (m - 1)
-    if powered.min() < np.finfo(float).tiny:
+    if np.minimum.reduce(powered) < _TINY:
         raise FloatingPointError("the (m-1)-th power of the scaling underflowed")
-    return x, contract(state.tensor, x) / powered + state.alpha
+    return x, _contract(rows, x, m) / powered + alpha
 
 
 def step(state: IterationState) -> IterationState:
@@ -196,8 +209,9 @@ def step(state: IterationState) -> IterationState:
     rounding).  Raises ``FloatingPointError`` once ``x**(m-1)`` leaves the
     normal range, where the row sums would lose their digits.
     """
-    x, sums = _balance(state)
-    return _state_from(state.tensor, state.alpha, x, sums, state.k + 1)
+    b = state.tensor
+    x, sums = _balance(b._rows, b.order, state.alpha, state.x, state.sums, state.upper)
+    return _state_from(b, state.alpha, x, sums, state.k + 1)
 
 
 def residual(a: DenseTensor, value: float, vector) -> float:
@@ -225,7 +239,7 @@ def contraction_factor(state: IterationState) -> float:
     if not state.upper > state.lower:
         raise ValueError("row sums are constant; contraction factor is undefined")
     m, n, sums = state.tensor.order, state.tensor.dim, state.sums
-    _, next_sums = _balance(state)
+    _, next_sums = _balance(state.tensor._rows, m, state.alpha, state.x, sums, state.upper)
     s = int(np.argmax(next_sums))
     t = int(np.argmin(next_sums))
     row_s, row_t = _rescaled_rows(state.tensor, state.x, [s, t])
@@ -257,24 +271,28 @@ def solve(b: DenseTensor, config: SolverConfig | None = None) -> SolveReport:
     of ``(rho, eigenvector)`` on ``b`` itself up to rounding.
     """
     cfg = config if config is not None else SolverConfig()
-    state = init_state(b, cfg)
-    trace = [_trace_row(state)] if cfg.trace else []
-    while state.gap > cfg.tol and state.k < cfg.max_iter:
+    start = init_state(b, cfg)
+    rows, m, alpha, tol, max_iter = b._rows, b.order, cfg.alpha, cfg.tol, cfg.max_iter
+    x, sums, upper, lower, k = start.x, start.sums, start.upper, start.lower, 0
+    trace = [TraceRow(1, lower, upper)] if cfg.trace else []
+    while upper - lower > tol and k < max_iter:
         try:
-            state = step(state)
+            x, sums = _balance(rows, m, alpha, x, sums, upper)
         except FloatingPointError:
             break
+        upper, lower = _bracket(sums)
+        k += 1
         if cfg.trace:
-            trace.append(_trace_row(state))
-    rho_shifted = _midpoint(state.lower, state.upper)
-    defect = (state.sums - rho_shifted) * state.x ** (b.order - 1)
+            trace.append(TraceRow(k + 1, lower, upper))
+    rho_shifted = _midpoint(lower, upper)
+    defect = (sums - rho_shifted) * x ** (m - 1)
     return SolveReport(
-        rho=rho_shifted - cfg.alpha,
-        eigenvector=state.x,
-        converged=state.gap <= cfg.tol,
-        iterations=state.k,
-        lower=state.lower,
-        upper=state.upper,
+        rho=rho_shifted - alpha,
+        eigenvector=x,
+        converged=upper - lower <= tol,
+        iterations=k,
+        lower=lower,
+        upper=upper,
         residual=float(np.max(np.abs(defect))),
         trace=trace,
     )

@@ -107,6 +107,11 @@ class DenseTensor:
         """Flat read-only view, lexicographic in the multi-index."""
         return self._data.reshape(-1)
 
+    @property
+    def _rows(self) -> np.ndarray:
+        """Read-only ``(n, n**(m-1))`` view whose row ``i`` is ``a[i]`` flattened."""
+        return self._data.reshape(self._data.shape[0], -1)
+
     def __eq__(self, other):
         if not isinstance(other, DenseTensor):
             return NotImplemented
@@ -140,6 +145,13 @@ def _kron_weights(x: np.ndarray, order: int) -> np.ndarray:
     return w
 
 
+def _contract(rows: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:
+    """:func:`contract` without its checks: ``rows`` is the ``(n, n**(m-1))``
+    row view of an order-``order`` tensor and ``x`` a finite length-n float
+    array.  The solver and oracle loops call this on vectors they built."""
+    return rows @ _kron_weights(x, order)
+
+
 def contract(a: DenseTensor, x) -> np.ndarray:
     """Contract the tensor with ``x`` along every axis but the first.
 
@@ -150,7 +162,7 @@ def contract(a: DenseTensor, x) -> np.ndarray:
     ``x[i2] * ... * x[im]`` (exactly ``a.data @ x`` when the order is 2).
     """
     vec = _check_vector(a, x)
-    return a.data.reshape(a.dim, -1) @ _kron_weights(vec, a.order)
+    return _contract(a._rows, vec, a.order)
 
 
 def row_sums(a: DenseTensor) -> np.ndarray:
@@ -181,7 +193,7 @@ def _rescaled_rows(a: DenseTensor, d: np.ndarray, rows) -> np.ndarray:
     list of indices) of ``diagonal_similarity(a, d)``, each flattened:
     ``a[i, i2, ..., im] * d[i2] * ... * d[im] / d[i]**(m-1)``."""
     m = a.order
-    out = a.data.reshape(a.dim, -1)[rows] * _kron_weights(d, m)
+    out = a._rows[rows] * _kron_weights(d, m)
     out /= (d[rows] ** (m - 1))[:, None]
     return out
 

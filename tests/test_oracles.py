@@ -124,13 +124,13 @@ class TestPowerIteration:
 
     def test_one_contraction_per_iteration(self, golden, monkeypatch):
         calls = []
-        original = specrad.oracles.contract
+        original = specrad.oracles._contract
 
-        def counting(a, x):
+        def counting(rows, x, order):
             calls.append(1)
-            return original(a, x)
+            return original(rows, x, order)
 
-        monkeypatch.setattr(specrad.oracles, "contract", counting)
+        monkeypatch.setattr(specrad.oracles, "_contract", counting)
         estimate = power_iteration(add_identity_shift(golden, 1.0))
         assert estimate.iterations > 1
         assert len(calls) == estimate.iterations

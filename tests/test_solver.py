@@ -290,17 +290,49 @@ class TestSolveGeneral:
         # reuses the last sweep's row sums, so sweeps are the only passes
         b = make()
         calls = []
-        original = specrad.tensor.contract
+        original = specrad.tensor._contract
 
-        def counting(a, x):
+        def counting(rows, x, order):
             calls.append(1)
-            return original(a, x)
+            return original(rows, x, order)
 
         for module in (specrad.tensor, specrad.solver):
-            monkeypatch.setattr(module, "contract", counting)
+            monkeypatch.setattr(module, "_contract", counting)
         report = solve(b, SolverConfig(alpha=alpha))
         assert report.iterations == passes
         assert len(calls) == passes
+
+    @pytest.mark.parametrize(
+        ("make", "config"),
+        [
+            (golden_b, SolverConfig(alpha=1.0)),
+            (golden_b, SolverConfig(alpha=0.0)),
+            (empty_row_tensor, SolverConfig(max_iter=5000)),
+            (lambda: DenseTensor(np.ones((3, 3, 3))), SolverConfig()),
+            (golden_b, SolverConfig(alpha=0.0, max_iter=5000)),
+        ],
+        ids=["golden", "golden-unshifted", "underflow-stop", "all-ones", "golden-rescaled"],
+    )
+    def test_matches_a_loop_over_the_public_step_bit_for_bit(self, make, config):
+        # solve runs the sweep kernel on plain arrays; the public state
+        # machine around the same kernel must give the very same run
+        b = make()
+        state = init_state(b, config)
+        rows = [(1, state.lower, state.upper)]
+        while state.gap > config.tol and state.k < config.max_iter:
+            try:
+                state = step(state)
+            except FloatingPointError:
+                break
+            rows.append((state.k + 1, state.lower, state.upper))
+        mid = 0.5 * state.lower + 0.5 * state.upper
+        defect = (state.sums - mid) * state.x ** (b.order - 1)
+
+        report = solve(b, config)
+        assert [(row.k, row.lower, row.upper) for row in report.trace] == rows
+        assert (report.iterations, report.lower, report.upper) == (state.k, state.lower, state.upper)
+        assert np.array_equal(report.eigenvector, state.x)
+        assert report.residual == float(np.max(np.abs(defect)))
 
     def test_allocates_nothing_of_the_tensor_size(self):
         b = random_tensor(4, 40, seed=5)
