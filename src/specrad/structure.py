@@ -5,6 +5,12 @@ A tensor is reducible when some nonempty proper index subset ``I`` has
 entirely outside ``I``; irreducible otherwise.  Two independent deciders
 live here: support propagation (fast, any dimension) and exhaustive subset
 search (exact by construction, small dimensions).
+
+Support propagation grows all ``n`` singleton starts at once in at most
+``n`` rounds, each a gather per tuple axis plus one ``(n, L) x (L, n)``
+float32 product, where ``L <= n**(m-1)`` counts the index tuples carrying
+a positive entry.  Its two float32 ``(n, L)`` arrays add about the tensor's
+own size in memory.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ class IrreducibilityVerdict:
 
 def _is_reducing(b: DenseTensor, inside: tuple[int, ...]) -> bool:
     """Check the zero pattern for a candidate subset (0-based indices)."""
-    outside = [i for i in range(b.dim) if i not in set(inside)]
+    outside = sorted(set(range(b.dim)).difference(inside))
     if not inside or not outside:
         return False
     pick = np.ix_(*([outside] * (b.order - 1)))
@@ -45,34 +51,26 @@ def _is_reducing(b: DenseTensor, inside: tuple[int, ...]) -> bool:
 def _reached(b: DenseTensor) -> np.ndarray:
     """Row ``s`` marks the indices reached from the singleton start ``{s}``.
 
-    Counter-based forward chaining (Dowling--Gallier Horn-SAT): every index
-    tuple ``(i2..im)`` carrying a positive entry keeps a count of its
-    distinct indices not yet reached.  Reaching an index decrements the
-    count of each tuple that contains it; a tuple whose count hits zero
-    reaches every row that is positive on it.
+    All starts grow together from the identity.  Each round finds, per start,
+    the index tuples ``(i2..im)`` carrying a positive entry whose every index
+    is already reached, and reaches every row positive on one of them.  Only
+    the sign of the float32 product is read; its terms are 0 or 1, so no
+    rounding can turn a positive count into zero.
     """
     n = b.dim
-    positive = b.data.reshape(n, -1) > 0
+    positive = b._rows > 0
     live = np.flatnonzero(positive.any(axis=0))
-    rows_by_tuple = np.ascontiguousarray(positive[:, live].T)
-    member = np.zeros((n, live.size), dtype=bool)
-    for digits in np.unravel_index(live, (n,) * (b.order - 1)):
-        member[digits, np.arange(live.size)] = True
-    need = member.sum(axis=0)
-
-    reached = np.zeros((n, n), dtype=bool)
-    for start in range(n):
-        done = reached[start]
-        done[start] = True
-        missing = need.copy()
-        frontier = [start]
-        while len(frontier) and not done.all():
-            hits = member[frontier].sum(axis=0)
-            missing -= hits
-            fired = (missing == 0) & (hits > 0)
-            new = rows_by_tuple[fired].any(axis=0) & ~done
-            done |= new
-            frontier = np.flatnonzero(new)
+    digits = np.unravel_index(live, (n,) * (b.order - 1))
+    feeds = positive[:, live].astype(np.float32)
+    reached = np.eye(n, dtype=bool)
+    while not reached.all():
+        inside = reached[:, digits[0]]
+        for column in digits[1:]:
+            inside &= reached[:, column]
+        grown = reached | (inside.astype(np.float32) @ feeds.T > 0)
+        if np.array_equal(grown, reached):
+            break
+        reached = grown
     return reached
 
 
@@ -83,13 +81,14 @@ def irreducible_iterative(b: DenseTensor) -> IrreducibilityVerdict:
     support of ``x`` by every row with a positive tuple inside the current
     support, and the support of any nonzero start contains a singleton, so
     the tensor is irreducible iff every singleton start reaches full
-    support.  Each start is propagated by counter-based forward chaining
-    (``_reached``) in at most ``n`` rounds; with ``L <= n**(m-1)`` index
-    tuples carrying a positive entry, a start costs ``O(n * L)`` elementwise
-    work, ``O(n**(m+1))`` for all starts on a dense tensor.  A stalled start
-    certifies reducibility: the complement of its reachable set is a witness
-    (the lexicographically smallest such complement is returned, and
-    re-verified before return).
+    support.  All starts are propagated together (``_reached``) in at most
+    ``n`` rounds; with ``L <= n**(m-1)`` index tuples carrying a positive
+    entry, a round is one gather of the reached matrix per tuple axis plus
+    one ``(n, L) x (L, n)`` float32 product, so ``O(n**3 * L)`` in the worst
+    case, and the two float32 ``(n, L)`` arrays it keeps take about as much
+    memory as the tensor itself.  A stalled start certifies reducibility: the
+    complement of its reachable set is a witness (the lexicographically
+    smallest such complement is returned, and re-verified before return).
     """
     witnesses = [tuple(np.flatnonzero(~row).tolist()) for row in _reached(b) if not row.all()]
     if not witnesses:
@@ -139,7 +138,7 @@ def reducible_bruteforce(b: DenseTensor) -> IrreducibilityVerdict:
     for _ in range(m - 1):
         remainder, digit = np.divmod(remainder, n)
         tuple_masks |= np.int64(1) << digit
-    positive = b.data.reshape(n, -1) > 0
+    positive = b._rows > 0
     row_masks = [np.unique(tuple_masks[positive[i]]) for i in range(n)]
 
     for subset in _proper_subsets_lex(n):

@@ -12,6 +12,8 @@ from specrad import (
     random_tensor,
     reducible_bruteforce,
 )
+from specrad.structure import _reached
+from specrad.tensor import MAX_ORDER
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -42,8 +44,6 @@ class TestIterative:
         assert irreducible_iterative(DenseTensor([[5.0]])).irreducible
 
     def test_support_growth_and_permanent_stall(self):
-        from specrad.structure import _reached
-
         golden = golden_b()
         reached = [set(np.flatnonzero(row).tolist()) for row in _reached(golden)]
         # rows 1 and 2 feed each other and row 3 feeds off row 1, so those
@@ -84,6 +84,48 @@ class TestChains:
         n, m = shape
         verdict = irreducible_iterative(random_tensor(m, n, seed=5))
         assert verdict.irreducible and verdict.witness is None
+
+
+def reached_by_start(t: DenseTensor) -> np.ndarray:
+    """Reference for ``_reached``, one start at a time: grow ``{s}`` by every
+    row positive on an index tuple inside the current set until nothing
+    changes."""
+    n, m = t.dim, t.order
+    positive = t.data > 0
+    out = np.zeros((n, n), dtype=bool)
+    for s in range(n):
+        support, grown = set(), {s}
+        while grown != support:
+            support = grown
+            pick = np.ix_(*[sorted(support)] * (m - 1))
+            feeds = positive[(slice(None),) + pick].reshape(n, -1).any(axis=1)
+            grown = support | set(np.flatnonzero(feeds).tolist())
+        out[s, list(support)] = True
+    return out
+
+
+class TestReachedMatrix:
+    """The whole reached matrix, not just the verdict it implies."""
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    def test_matches_per_start_growth_on_sparse_tensors(self, order):
+        for dim in range(1, 9):
+            for seed, density in enumerate((0.05, 0.15, 0.3, 0.5)):
+                t = sparse_tensor(order, dim, 100 * order + 10 * dim + seed, density)
+                assert np.array_equal(_reached(t), reached_by_start(t)), (dim, density)
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            chain(80, 3, cyclic=True),
+            chain(80, 3, cyclic=False),
+            DenseTensor(np.zeros((3, 3, 3))),
+            random_tensor(MAX_ORDER, 1, 0),
+        ],
+        ids=["cyclic-chain-80", "open-chain-80", "zero-3-3", "max-order-dim-1"],
+    )
+    def test_matches_per_start_growth_on_edge_cases(self, t):
+        assert np.array_equal(_reached(t), reached_by_start(t))
 
 
 class TestBruteForce:
