@@ -3,11 +3,15 @@
 :func:`power_iteration` runs on arrays and floats and contracts through the
 unchecked kernel behind :func:`~specrad.tensor.contract`, since its
 iterates are built and checked inside the loop; the :class:`OracleEstimate`
-dataclass is built once, for the result.
+dataclass is built once, for the result.  It makes one contraction per
+iteration until its iterates repeat bit for bit, as they do on a cyclic,
+non-primitive tensor; from there on it skips whole periods, so a run that
+can never close costs a few contractions, not ``max_iter``.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,27 +54,50 @@ def power_iteration(
 
     From the all-ones start, repeats ``x -> normalize(contract(a, x)**(1/(m-1)))``
     (unit maximum entry) and evaluates the pointwise bracket at each new
-    iterate; stops once the bracket closes to ``tol``.  One contraction per
-    iteration serves both: ``y = contract(a, x)`` gives the bracket
-    ``y / x**(m-1)`` at ``x`` and the next iterate ``y**(1/(m-1))``; at the
-    all-ones start ``y`` is the stored :func:`row_sums`, so the start costs
-    no pass.  For irreducible input the bracket contains the spectral radius
-    throughout.
-    Raises ``ValueError`` if a row sums to zero or overflows to ``inf``.
-    If an iterate's ``(m-1)``-th power develops a zero component (possible
-    for reducible input) the last valid bracket is returned with
+    iterate; stops once the bracket closes to ``tol`` or after ``max_iter``
+    iterations.  One contraction per iteration serves both: ``y = contract(a, x)``
+    gives the bracket ``y / x**(m-1)`` at ``x`` and the next iterate
+    ``y**(1/(m-1))``; at the all-ones start ``y`` is the stored
+    :func:`row_sums`, so the start costs no pass.  For irreducible input the
+    bracket contains the spectral radius throughout.
+
+    Each iteration is a function of ``y`` alone, so once ``y`` repeats bit
+    for bit the run is periodic and never closes (a cyclic, non-primitive
+    tensor does this; Chang-Pearson-Zhang, SIAM J. Matrix Anal. Appl. 32,
+    2011).  ``y`` is compared with an anchor kept at every power-of-two
+    iteration (Brent), and on a repeat whole periods are skipped: the result
+    is exactly that of running all ``max_iter`` iterations, at the cost of
+    one contraction per iteration only until the iterates repeat.
+
+    Raises ``ValueError`` if ``tol`` is not finite and positive, if
+    ``max_iter`` is not an integer ``>= 0``, if a row sums to zero or
+    overflows to ``inf``, or if an iterate turns non-finite.  If an
+    iterate's ``(m-1)``-th power develops a zero component (possible for
+    reducible input) the last valid bracket is returned with
     ``converged=False``.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not isinstance(max_iter, numbers.Integral) or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    max_iter = int(max_iter)
     rows, m = a._rows, a.order
     x = np.ones(a.dim)
     y = row_sums(a)
     _check_start_sums(y, "the tensor", "power iteration needs positive rows")
     root = 1.0 / (m - 1)
     lower, upper = float(np.minimum.reduce(y)), float(np.maximum.reduce(y))
-    iterations = 0
+    iterations, anchor, anchor_at = 0, None, 0
     while upper - lower > tol and iterations < max_iter:
+        key = y.tobytes()
+        if key == anchor:
+            # every state of the cycle has passed the checks below: skip
+            # whole periods, then run the last partial one as usual
+            iterations = max_iter - (max_iter - iterations) % (iterations - anchor_at)
+            anchor = None
+            continue
+        if iterations & (iterations - 1) == 0:
+            anchor, anchor_at = key, iterations
         nxt = y**root
         nxt /= np.maximum.reduce(nxt)
         iterations += 1
@@ -84,4 +111,8 @@ def power_iteration(
         y = _contract(rows, nxt, m)
         ratios = y / powered
         x, lower, upper = nxt, float(np.minimum.reduce(ratios)), float(np.maximum.reduce(ratios))
+    # the ratio at the iterate's unit entry is that entry of y, so the gap
+    # is NaN only after a non-finite contraction
+    if np.isnan(upper - lower):
+        raise ValueError("power iteration produced a non-finite iterate")
     return OracleEstimate(lower, upper, x, iterations, converged=upper - lower <= tol)

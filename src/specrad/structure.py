@@ -11,6 +11,12 @@ Support propagation grows all ``n`` singleton starts at once in at most
 float32 product, where ``L <= n**(m-1)`` counts the index tuples carrying
 a positive entry.  Its two float32 ``(n, L)`` arrays add about the tensor's
 own size in memory.
+
+The subset search works on Python ints: each row keeps the distinct
+bitmasks of its positive index tuples, each subset is built with its own
+bitmask, and a subset reduces iff every mask of every row inside it meets
+the subset's mask.  Subsets come in lexicographic order and the scan stops
+at the first reducing one.
 """
 
 from __future__ import annotations
@@ -101,19 +107,6 @@ def irreducible_iterative(b: DenseTensor) -> IrreducibilityVerdict:
     )
 
 
-def _proper_subsets_lex(n: int):
-    """Nonempty proper subsets of ``range(n)`` as tuples, lexicographically."""
-
-    def extend(prefix: tuple[int, ...], start: int):
-        for j in range(start, n):
-            subset = prefix + (j,)
-            if len(subset) < n:
-                yield subset
-                yield from extend(subset, j + 1)
-
-    yield from extend((), 0)
-
-
 def reducible_bruteforce(b: DenseTensor) -> IrreducibilityVerdict:
     """Decide irreducibility by scanning all nonempty proper index subsets.
 
@@ -130,8 +123,8 @@ def reducible_bruteforce(b: DenseTensor) -> IrreducibilityVerdict:
         return IrreducibilityVerdict(irreducible=True)
 
     # Bitmask per index tuple (which indices appear in it), then per row the
-    # masks of its positive tuples: a subset reduces iff every positive tuple
-    # of each inside row touches the subset.
+    # distinct masks of its positive tuples, as ints: a subset reduces iff
+    # every positive tuple of each inside row touches the subset.
     flat = np.arange(n ** (m - 1), dtype=np.int64)
     tuple_masks = np.zeros_like(flat)
     remainder = flat
@@ -139,15 +132,19 @@ def reducible_bruteforce(b: DenseTensor) -> IrreducibilityVerdict:
         remainder, digit = np.divmod(remainder, n)
         tuple_masks |= np.int64(1) << digit
     positive = b._rows > 0
-    row_masks = [np.unique(tuple_masks[positive[i]]) for i in range(n)]
+    row_masks = [np.unique(tuple_masks[positive[i]]).tolist() for i in range(n)]
 
-    for subset in _proper_subsets_lex(n):
-        subset_mask = 0
-        for i in subset:
-            subset_mask |= 1 << i
-        if all((row_masks[i] & subset_mask).all() for i in subset):
+    # Nonempty proper subsets in lexicographic order, each with its bitmask.
+    def extend(prefix: tuple[int, ...], prefix_mask: int, start: int):
+        for j in range(start, n):
+            subset, subset_mask = prefix + (j,), prefix_mask | 1 << j
+            if len(subset) < n:
+                yield subset, subset_mask
+                yield from extend(subset, subset_mask, j + 1)
+
+    for subset, subset_mask in extend((), 0, 0):
+        if all(all(t & subset_mask for t in row_masks[i]) for i in subset):
             return IrreducibilityVerdict(
                 irreducible=False, witness=tuple(i + 1 for i in subset)
             )
     return IrreducibilityVerdict(irreducible=True)
-

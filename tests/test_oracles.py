@@ -41,6 +41,17 @@ def power_iteration_two_contractions(a, tol=1e-9, max_iter=10_000):
     return lower, upper, x, iterations, upper - lower <= tol
 
 
+def weighted_cycle(n: int) -> DenseTensor:
+    """Cyclic chain ``a[i, i+1, i+1] = i + 1`` (indices mod ``n``): irreducible
+    but not primitive, so power iteration cycles without converging."""
+    data = np.zeros((n, n, n))
+    rows = np.arange(n)
+    data[rows, (rows + 1) % n, (rows + 1) % n] = rows + 1.0
+    return DenseTensor(data)
+
+
+CYCLE_MAX_ITERS = [1, 2, 3, 4, 5, 8, 9, 9999, 10000, 10001]
+
 REFERENCE_INPUTS = [
     add_identity_shift(golden_b(), 1.0),
     golden_b(),
@@ -134,6 +145,56 @@ class TestPowerIteration:
         estimate = power_iteration(add_identity_shift(golden, 1.0))
         assert estimate.iterations > 1
         assert len(calls) == estimate.iterations
+
+    @pytest.mark.parametrize("max_iter", CYCLE_MAX_ITERS)
+    @pytest.mark.parametrize(
+        "a", [golden_b(), weighted_cycle(3), weighted_cycle(4)], ids=["golden", "cycle-3", "cycle-4"]
+    )
+    def test_skipped_cycles_match_the_full_run(self, a, max_iter):
+        # none of these close at alpha=0: each run ends at max_iter, after
+        # whole periods are skipped
+        estimate = power_iteration(a, max_iter=max_iter)
+        lower, upper, vector, iterations, converged = power_iteration_two_contractions(
+            a, max_iter=max_iter
+        )
+        assert (estimate.lower, estimate.upper) == (lower, upper)
+        assert (estimate.iterations, estimate.converged) == (iterations, converged)
+        assert iterations == max_iter and not converged
+        assert estimate.vector.tobytes() == vector.tobytes()
+
+    def test_golden_cycle_costs_a_few_contractions(self, golden, monkeypatch):
+        calls = []
+        original = specrad.oracles._contract
+
+        def counting(rows, x, order):
+            calls.append(1)
+            return original(rows, x, order)
+
+        monkeypatch.setattr(specrad.oracles, "_contract", counting)
+        estimate = power_iteration(golden)
+        assert estimate.iterations == 10_000 and not estimate.converged
+        assert len(calls) <= 16
+
+    @pytest.mark.parametrize("max_iter", [-1, 1.5, 1e4, "10", None])
+    def test_rejects_a_max_iter_that_is_not_a_nonnegative_integer(self, golden, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            power_iteration(golden, max_iter=max_iter)
+
+    def test_zero_max_iter_returns_the_row_sum_bracket(self, golden):
+        estimate = power_iteration(golden, max_iter=0)
+        sums = row_sums(golden)
+        assert (estimate.lower, estimate.upper) == (sums.min(), sums.max())
+        assert estimate.iterations == 0 and not estimate.converged
+        assert np.array_equal(estimate.vector, np.ones(3))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("max_iter", [1, 10_000])
+    def test_non_finite_contraction_raises(self, golden, monkeypatch, value, max_iter):
+        monkeypatch.setattr(
+            specrad.oracles, "_contract", lambda rows, x, order: np.full_like(x, value)
+        )
+        with pytest.raises(ValueError, match="non-finite iterate"):
+            power_iteration(add_identity_shift(golden, 1.0), max_iter=max_iter)
 
     @settings(max_examples=10, deadline=None)
     @given(seed=seeds)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,7 +130,31 @@ class TestReachedMatrix:
         assert np.array_equal(_reached(t), reached_by_start(t))
 
 
+def smallest_reducing_subset(t: DenseTensor):
+    """Reference for ``reducible_bruteforce``: sort every nonempty proper
+    subset as a tuple and check each zero pattern through ``np.ix_``."""
+    n, m = t.dim, t.order
+    subsets = sorted(
+        subset for size in range(1, n) for subset in itertools.combinations(range(n), size)
+    )
+    for subset in subsets:
+        outside = [j for j in range(n) if j not in subset]
+        pick = np.ix_(*[outside] * (m - 1))
+        if not any(t.data[i][pick].any() for i in subset):
+            return tuple(i + 1 for i in subset)
+    return None
+
+
 class TestBruteForce:
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_matches_sorted_subset_reference(self, order):
+        for dim in range(1, 9):
+            for seed, density in enumerate((0.05, 0.1, 0.2, 0.35, 0.5, 0.7)):
+                t = sparse_tensor(order, dim, 1000 * order + 10 * dim + seed, density)
+                verdict, witness = reducible_bruteforce(t), smallest_reducing_subset(t)
+                expected = (witness is None, witness)
+                assert (verdict.irreducible, verdict.witness) == expected, (dim, density)
+
     def test_strictly_positive_is_irreducible(self):
         assert reducible_bruteforce(random_tensor(3, 4, seed=8)).irreducible
 
