@@ -122,15 +122,14 @@ def reducible_bruteforce(b: DenseTensor) -> IrreducibilityVerdict:
     if n == 1:
         return IrreducibilityVerdict(irreducible=True)
 
-    # Bitmask per index tuple (which indices appear in it), then per row the
+    # Bitmask per index tuple (which indices appear in it), in C order, one
+    # outer axis per round as in tensor._kron_weights; then per row the
     # distinct masks of its positive tuples, as ints: a subset reduces iff
     # every positive tuple of each inside row touches the subset.
-    flat = np.arange(n ** (m - 1), dtype=np.int64)
-    tuple_masks = np.zeros_like(flat)
-    remainder = flat
-    for _ in range(m - 1):
-        remainder, digit = np.divmod(remainder, n)
-        tuple_masks |= np.int64(1) << digit
+    bits = 1 << np.arange(n)
+    tuple_masks = bits
+    for _ in range(m - 2):
+        tuple_masks = (bits[:, None] | tuple_masks).reshape(-1)
     positive = b._rows > 0
     row_masks = [np.unique(tuple_masks[positive[i]]).tolist() for i in range(n)]
 

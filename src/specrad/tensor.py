@@ -17,20 +17,9 @@ import numpy as np
 # 400 MB of float64 entries).
 MAX_DENSE_ENTRIES = 50_000_000
 
-
-def _max_array_rank() -> int:
-    """Highest ndarray rank this numpy supports (32 before numpy 2, 64 since)."""
-    rank = 1
-    try:
-        while True:
-            np.empty((1,) * (rank + 1))
-            rank += 1
-    except ValueError:
-        return rank
-
-
-# Highest tensor order a dense backing array can have.
-MAX_ORDER = _max_array_rank()
+# Highest tensor order, the same for every dimension and every numpy:
+# 2**25 <= MAX_DENSE_ENTRIES < 2**26, so above it only dimension 1 would fit.
+MAX_ORDER = MAX_DENSE_ENTRIES.bit_length() - 1
 
 
 def _validated(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -43,8 +32,8 @@ def _validated(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     only when some row sum is not finite; finite entries whose sum overflows
     still pass.
     """
-    if arr.ndim < 2:
-        raise ValueError(f"tensor order must be >= 2, got array of rank {arr.ndim}")
+    if not 2 <= arr.ndim <= MAX_ORDER:
+        raise ValueError(f"order must be between 2 and the cap of {MAX_ORDER}, got {arr.ndim}")
     n = arr.shape[0]
     if n < 1 or any(s != n for s in arr.shape):
         raise ValueError(f"tensor must be cubical, got shape {arr.shape}")
@@ -68,11 +57,13 @@ class DenseTensor:
     The backing array has shape ``(n,) * m`` in C order, so the flat view
     ``entries`` enumerates entries lexicographically by multi-index.
     Construction rejects negative, NaN and infinite entries outright; the
-    spectral theory used downstream assumes nonnegativity.  The constructor
-    copies ``data``, so later changes to the caller's array never reach the
-    tensor; the package's own constructors hand over a fresh array instead
-    (:meth:`_own`).  The row sums are computed once, during validation, and
-    kept read-only beside the entries (:func:`row_sums`).
+    spectral theory used downstream assumes nonnegativity.  It also rejects
+    an order above :data:`MAX_ORDER`, the largest order :func:`check_shape`
+    and a file header accept.  The constructor copies ``data``, so later
+    changes to the caller's array never reach the tensor; the package's own
+    constructors hand over a fresh array instead (:meth:`_own`).  The row
+    sums are computed once, during validation, and kept read-only beside the
+    entries (:func:`row_sums`).
     """
 
     def __init__(self, data):
@@ -222,8 +213,7 @@ def add_identity_shift(b: DenseTensor, alpha: float) -> DenseTensor:
     if not alpha >= 0:
         raise ValueError(f"shift must be nonnegative, got {alpha}")
     out = np.array(b.data, copy=True)
-    # (i, ..., i) is flat position i * (1 + n + ... + n**(m-1)); numpy takes
-    # at most 63 index arrays, so index the flat view
+    # (i, ..., i) is flat position i * (1 + n + ... + n**(m-1))
     out.reshape(-1)[:: sum(b.dim**k for k in range(b.order))] += alpha
     return DenseTensor._own(out)
 
@@ -231,18 +221,16 @@ def add_identity_shift(b: DenseTensor, alpha: float) -> DenseTensor:
 def check_shape(order: int, dim: int) -> None:
     """Raise ``ValueError`` unless a dense ``(dim,) * order`` tensor can be built.
 
-    Checks, in this order: ``order >= 2``, ``dim >= 1``, at most
-    :data:`MAX_DENSE_ENTRIES` entries and at most :data:`MAX_ORDER` axes.
+    Checks, in this order: ``2 <= order <= MAX_ORDER``, ``dim >= 1`` and at
+    most :data:`MAX_DENSE_ENTRIES` entries.  The order cap comes first, so
+    ``dim**order`` is only ever built for an order of at most 25.
     """
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
+    if not 2 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be between 2 and the cap of {MAX_ORDER}, got {order}")
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    # for dim >= 2 a long order exceeds the cap without building the power
-    if dim >= 2 and order > MAX_DENSE_ENTRIES.bit_length() or dim**order > MAX_DENSE_ENTRIES:
+    if dim**order > MAX_DENSE_ENTRIES:
         raise ValueError(f"{dim}**{order} entries exceed the cap of {MAX_DENSE_ENTRIES}")
-    if order > MAX_ORDER:
-        raise ValueError(f"order {order} exceeds numpy's maximum array rank of {MAX_ORDER}")
 
 
 def random_tensor(order: int, dim: int, seed: int) -> DenseTensor:

@@ -75,18 +75,13 @@ def _parse_bulk(lines: list[str], order: int, dim: int) -> Optional[np.ndarray]:
         return None
     if not np.isfinite(values).all() or (values < 0).any():
         return None
-    # the row-major flat index np.ravel_multi_index gives, which that
-    # function refuses to compute for as many as MAX_ORDER axes
-    flat = np.zeros(values.size, dtype=np.int64)
-    for i in index:
-        flat = flat * dim + i
-    seen = np.zeros(dim**order, dtype=bool)
-    seen[flat] = True
-    if np.count_nonzero(seen) != flat.size:
+    seen = np.zeros((dim,) * order, dtype=bool)
+    seen[index] = True
+    if np.count_nonzero(seen) != values.size:
         return None
-    data = np.zeros(dim**order)
-    data[flat] = values
-    return data.reshape((dim,) * order)
+    data = np.zeros((dim,) * order)
+    data[index] = values
+    return data
 
 
 def _parse_lines(lines: list[str], order: int, dim: int) -> np.ndarray:
@@ -151,7 +146,7 @@ def write_tensor(tensor: DenseTensor, dest: PathOrFile) -> None:
     nonzero = np.nonzero(tensor.data)
     labels = [f"{i} " for i in range(1, tensor.dim + 1)]
     columns = [[labels[i] for i in axis.tolist()] for axis in nonzero]
-    # flat indexing: one index array per axis fails at numpy's maximum rank
+    # the flat gather is faster than data[nonzero]
     values = map(repr, tensor.entries[np.flatnonzero(tensor.entries)].tolist())
     rows = map("".join, zip(*columns, values))
     _write_text("\n".join([f"{tensor.order} {tensor.dim}", *rows]) + "\n", dest)

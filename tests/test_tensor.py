@@ -75,6 +75,11 @@ class TestDenseTensor:
         with pytest.raises(ValueError, match="order"):
             DenseTensor(np.zeros(4))
 
+    def test_rejects_an_order_above_the_cap(self):
+        assert DenseTensor(np.ones((1,) * MAX_ORDER)).order == MAX_ORDER
+        with pytest.raises(ValueError, match=f"cap of {MAX_ORDER}, got {MAX_ORDER + 1}"):
+            DenseTensor(np.ones((1,) * (MAX_ORDER + 1)))
+
     def test_entries_are_lexicographic_flat_view(self):
         t = random_tensor(3, 2, seed=5)
         assert t.entries.shape == (8,)
@@ -365,27 +370,29 @@ class TestRandomTensor:
         with pytest.raises(ValueError, match="cap"):
             random_tensor(3, 400, 0)
 
-    def test_entry_cap_is_decided_without_the_power(self):
-        # 1000**20000000 has 60 million digits; the cap check must not build it
-        with pytest.raises(ValueError, match="1000\\*\\*20000000 entries exceed the cap"):
+    def test_long_order_is_rejected_without_the_power(self):
+        # 1000**20000000 has 60 million digits; the order cap comes first
+        with pytest.raises(ValueError, match="cap of 25, got 20000000"):
             random_tensor(20_000_000, 1000, seed=0)
 
-    def test_cap_shortcut_agrees_with_the_power(self):
-        for dim in (1, 2, 3, 10):
-            for order in range(1, 40):
+    def test_check_shape_rejects_exactly_the_out_of_range_shapes(self):
+        for dim in (-1, 0, 1, 2, 3, 10):
+            for order in range(1, 41):
                 try:
                     check_shape(order, dim)
-                    capped = False
-                except ValueError as exc:
-                    capped = "exceed the cap" in str(exc)
-                assert capped == (dim**order > MAX_DENSE_ENTRIES), (order, dim)
+                    rejected = False
+                except ValueError:
+                    rejected = True
+                out_of_range = order < 2 or dim < 1 or order > 25
+                assert rejected == (out_of_range or dim**order > MAX_DENSE_ENTRIES), (order, dim)
 
     def test_order_above_the_array_rank_limit(self):
-        from specrad.tensor import MAX_ORDER
-
+        # MAX_ORDER is the highest rank of any array the package holds, on every numpy
+        assert MAX_ORDER == 25 == MAX_DENSE_ENTRIES.bit_length() - 1
         assert random_tensor(MAX_ORDER, 1, seed=0).order == MAX_ORDER
-        with pytest.raises(ValueError, match=f"order {MAX_ORDER + 1} exceeds numpy's maximum"):
-            random_tensor(MAX_ORDER + 1, 1, seed=0)
+        for dim in (1, 2):
+            with pytest.raises(ValueError, match="order must be between 2 and the cap of 25, got 26"):
+                random_tensor(MAX_ORDER + 1, dim, seed=0)
 
     def test_bad_shape_arguments(self):
         with pytest.raises(ValueError, match="order"):

@@ -98,19 +98,20 @@ def test_header_cap():
         read_tensor(io.StringIO("3 100000\n"))
 
 
-def test_header_cap_is_decided_without_the_power():
-    # 1000**20000000 has 60 million digits; the cap check must not build it
-    with pytest.raises(ParseError, match="line 1.*1000\\*\\*20000000 entries exceed the cap"):
+def test_header_long_order_is_rejected_without_the_power():
+    # 1000**20000000 has 60 million digits; the order cap comes first
+    with pytest.raises(ParseError, match="line 1: order must be between 2 and the cap of 25"):
         read_tensor(io.StringIO("20000000 1000\n"))
 
 
 def test_header_order_above_the_array_rank_limit():
-    with pytest.raises(ParseError, match=f"line 1: order {MAX_ORDER + 1} exceeds numpy's maximum"):
+    assert read_tensor(io.StringIO(f"{MAX_ORDER} 1\n")).order == MAX_ORDER
+    with pytest.raises(ParseError, match=f"line 1: .*cap of {MAX_ORDER}, got {MAX_ORDER + 1}"):
         read_tensor(io.StringIO(f"{MAX_ORDER + 1} 1\n"))
 
 
 def test_roundtrip_at_the_array_rank_limit():
-    # one index array per axis is one too many for numpy at this order
+    # the bulk pass indexes with one array per axis, MAX_ORDER of them here
     t = random_tensor(MAX_ORDER, 1, seed=6)
     buffer = io.StringIO()
     write_tensor(t, buffer)
@@ -192,6 +193,9 @@ PARITY_CASES = {
     "short then long": "2 2\n1 1\n2 2 1.5 7\n",
     "duplicate on last line": "2 2\n1 1 1.5\n2 1 2.5\n1 1 3.5",
     "comment line": "2 2\n# entries\n1 1 1.5\n",
+    "zero index": "2 2\n0 1 1.5\n",
+    "negative index": "2 2\n-1 1 1.5\n",
+    "index past the dimension": "2 2\n1 3 1.5\n",
 }
 
 
@@ -208,5 +212,6 @@ def test_bulk_pass_hands_odd_input_to_the_per_line_pass():
     for name in ("plus sign", "negative zero", "crlf", "tabs", "blank lines"):
         assert bulk(PARITY_CASES[name]) is not None, name
     for name in ("underscore index", "full-width digit", "float index", "nan value",
-                 "short then long", "duplicate on last line", "comment line"):
+                 "short then long", "duplicate on last line", "comment line",
+                 "zero index", "negative index", "index past the dimension"):
         assert bulk(PARITY_CASES[name]) is None, name
