@@ -6,10 +6,12 @@ entirely outside ``I``; irreducible otherwise.  Two independent deciders
 live here: support propagation (fast, any dimension) and exhaustive subset
 search (exact by construction, small dimensions).
 
-Support propagation grows all ``n`` singleton starts at once in at most
-``n`` rounds, each a gather per tuple axis plus one ``(n, L) x (L, n)``
-float32 product, where ``L <= n**(m-1)`` counts the index tuples carrying
-a positive entry.  Its two float32 ``(n, L)`` arrays add about the tensor's
+Both take their per-tuple masks from ``tensor._kron_weights``, the one
+owner of the C-order tuple layout.  Support propagation grows all ``n``
+singleton starts at once in at most ``n`` rounds, each an ``n**m``-byte
+boolean walk over every index tuple plus one ``(n, L) x (L, n)`` float32
+product, where ``L <= n**(m-1)`` counts the index tuples carrying a
+positive entry.  Its two float32 ``(n, L)`` arrays add about the tensor's
 own size in memory.
 
 The subset search works on Python ints: each row keeps the distinct
@@ -26,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import DenseTensor
+from .tensor import DenseTensor, _kron_weights
 
 # 2**n - 2 subsets get scanned; past this, use irreducible_iterative.
 BRUTE_FORCE_DIM_CAP = 20
@@ -57,27 +59,25 @@ def _is_reducing(b: DenseTensor, inside: tuple[int, ...]) -> bool:
 def _reached(b: DenseTensor) -> np.ndarray:
     """Row ``s`` marks the indices reached from the singleton start ``{s}``.
 
-    All starts grow together from the identity.  Each round finds, per start,
-    the index tuples ``(i2..im)`` carrying a positive entry whose every index
-    is already reached, and reaches every row positive on one of them.  Only
-    the sign of the float32 product is read; its terms are 0 or 1, so no
-    rounding can turn a positive count into zero.
+    All starts grow together from the identity, as columns.  Each round
+    walks every index tuple ``(i2..im)`` (``n**m`` bytes), finds per start
+    those carrying a positive entry whose every index is already reached,
+    and reaches every row positive on one of them.  Only the sign of the
+    float32 product is read; its terms are 0 or 1, so no rounding can turn
+    a positive count into zero.
     """
-    n = b.dim
+    m = b.order
     positive = b._rows > 0
     live = np.flatnonzero(positive.any(axis=0))
-    digits = np.unravel_index(live, (n,) * (b.order - 1))
     feeds = positive[:, live].astype(np.float32)
-    reached = np.eye(n, dtype=bool)
+    reached = np.eye(b.dim, dtype=bool)
     while not reached.all():
-        inside = reached[:, digits[0]]
-        for column in digits[1:]:
-            inside &= reached[:, column]
-        grown = reached | (inside.astype(np.float32) @ feeds.T > 0)
+        inside = _kron_weights(reached, m, np.logical_and)[live]
+        grown = reached | (feeds @ inside.astype(np.float32) > 0)
         if np.array_equal(grown, reached):
             break
         reached = grown
-    return reached
+    return reached.T
 
 
 def irreducible_iterative(b: DenseTensor) -> IrreducibilityVerdict:
@@ -89,12 +89,13 @@ def irreducible_iterative(b: DenseTensor) -> IrreducibilityVerdict:
     the tensor is irreducible iff every singleton start reaches full
     support.  All starts are propagated together (``_reached``) in at most
     ``n`` rounds; with ``L <= n**(m-1)`` index tuples carrying a positive
-    entry, a round is one gather of the reached matrix per tuple axis plus
-    one ``(n, L) x (L, n)`` float32 product, so ``O(n**3 * L)`` in the worst
-    case, and the two float32 ``(n, L)`` arrays it keeps take about as much
-    memory as the tensor itself.  A stalled start certifies reducibility: the
-    complement of its reachable set is a witness (the lexicographically
-    smallest such complement is returned, and re-verified before return).
+    entry, a round is an ``n**m``-byte boolean walk over every index tuple
+    plus one ``(n, L) x (L, n)`` float32 product, so ``O(n**3 * L)`` in the
+    worst case, and the two float32 ``(n, L)`` arrays it keeps take about as
+    much memory as the tensor itself.  A stalled start certifies
+    reducibility: the complement of its reachable set is a witness (the
+    lexicographically smallest such complement is returned, and re-verified
+    before return).
     """
     witnesses = [tuple(np.flatnonzero(~row).tolist()) for row in _reached(b) if not row.all()]
     if not witnesses:
@@ -119,17 +120,8 @@ def reducible_bruteforce(b: DenseTensor) -> IrreducibilityVerdict:
             f"subset scan is capped at dim {BRUTE_FORCE_DIM_CAP} (got {n}); "
             "use irreducible_iterative instead"
         )
-    if n == 1:
-        return IrreducibilityVerdict(irreducible=True)
 
-    # Bitmask per index tuple (which indices appear in it), in C order, one
-    # outer axis per round as in tensor._kron_weights; then per row the
-    # distinct masks of its positive tuples, as ints: a subset reduces iff
-    # every positive tuple of each inside row touches the subset.
-    bits = 1 << np.arange(n)
-    tuple_masks = bits
-    for _ in range(m - 2):
-        tuple_masks = (bits[:, None] | tuple_masks).reshape(-1)
+    tuple_masks = _kron_weights(1 << np.arange(n), m, np.bitwise_or)
     positive = b._rows > 0
     row_masks = [np.unique(tuple_masks[positive[i]]).tolist() for i in range(n)]
 

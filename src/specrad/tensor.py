@@ -56,17 +56,19 @@ class DenseTensor:
 
     The backing array has shape ``(n,) * m`` in C order, so the flat view
     ``entries`` enumerates entries lexicographically by multi-index.
-    Construction rejects negative, NaN and infinite entries outright; the
-    spectral theory used downstream assumes nonnegativity.  It also rejects
-    an order above :data:`MAX_ORDER`, the largest order :func:`check_shape`
-    and a file header accept.  The constructor copies ``data``, so later
-    changes to the caller's array never reach the tensor; the package's own
-    constructors hand over a fresh array instead (:meth:`_own`).  The row
-    sums are computed once, during validation, and kept read-only beside the
-    entries (:func:`row_sums`).
+    Construction rejects complex, negative, NaN and infinite entries
+    outright; the spectral theory used downstream assumes nonnegativity.  It
+    also rejects an order above :data:`MAX_ORDER`, the largest order
+    :func:`check_shape` and a file header accept.  The constructor copies
+    ``data``, so later changes to the caller's array never reach the tensor;
+    the package's own constructors hand over a fresh array instead
+    (:meth:`_own`).  The row sums are computed once, during validation, and
+    kept read-only beside the entries (:func:`row_sums`).
     """
 
     def __init__(self, data):
+        if np.iscomplexobj(data):
+            raise ValueError("tensor entries must be real")
         self._data, self._row_sums = _validated(np.array(data, dtype=float, order="C"))
 
     @classmethod
@@ -123,16 +125,19 @@ def _check_vector(a: DenseTensor, x, name: str = "x") -> np.ndarray:
     return vec
 
 
-def _kron_weights(x: np.ndarray, order: int) -> np.ndarray:
+def _kron_weights(x: np.ndarray, order: int, op=np.multiply) -> np.ndarray:
     """Length ``n**(order-1)`` vector ``w[(i2..im)] = x[i2] * ... * x[im]``.
 
     Indexed in C order, so it lines up with the entries of one row
-    ``a[i]``.  Each round prepends one factor as the outer axis, which
-    keeps the long axis innermost.  For order 2 it is ``x`` itself.
+    ``a[i]``; the irreducibility deciders take their tuple masks from here
+    too, with ``op`` (``np.logical_and``, ``np.bitwise_or``) in place of
+    ``*``.  Trailing axes of ``x`` are batch axes.  Each round prepends one
+    factor as the outer axis (for a vector, the long axis stays innermost).
+    For order 2 it is ``x`` itself.
     """
     w = x
     for _ in range(order - 2):
-        w = (x[:, None] * w).reshape(-1)
+        w = op(x[:, None], w).reshape((-1,) + x.shape[1:])
     return w
 
 

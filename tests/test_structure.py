@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,17 @@ def reached_by_start(t: DenseTensor) -> np.ndarray:
     return out
 
 
+def stalled_dim_two(m: int) -> DenseTensor:
+    """Sparse dim-2 tensor (1-based): row 2 is positive on (1, ..., 1) and
+    (2, ..., 2), row 1 only on (1, ..., 1, 2), so start 1 reaches both
+    indices and start 2 stalls."""
+    data = np.zeros((2,) * m)
+    data[1][(0,) * (m - 1)] = 1.0
+    data[0][(0,) * (m - 2) + (1,)] = 1.0
+    data[1][(1,) * (m - 1)] = 1.0
+    return DenseTensor(data)
+
+
 class TestReachedMatrix:
     """The whole reached matrix, not just the verdict it implies."""
 
@@ -123,11 +135,31 @@ class TestReachedMatrix:
             chain(80, 3, cyclic=False),
             DenseTensor(np.zeros((3, 3, 3))),
             random_tensor(MAX_ORDER, 1, 0),
+            random_tensor(16, 2, 0),
+            stalled_dim_two(12),
         ],
-        ids=["cyclic-chain-80", "open-chain-80", "zero-3-3", "max-order-dim-1"],
+        ids=[
+            "cyclic-chain-80",
+            "open-chain-80",
+            "zero-3-3",
+            "max-order-dim-1",
+            "dense-16-2",
+            "stalled-12-2",
+        ],
     )
     def test_matches_per_start_growth_on_edge_cases(self, t):
         assert np.array_equal(_reached(t), reached_by_start(t))
+
+    def test_memory_stays_near_the_tensor_size(self):
+        # a round's tuple walk takes n**m bytes, an eighth of the entries
+        t = random_tensor(16, 2, seed=1)
+        tracemalloc.start()
+        try:
+            assert irreducible_iterative(t).irreducible
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * t.entries.nbytes
 
 
 def smallest_reducing_subset(t: DenseTensor):

@@ -1,4 +1,5 @@
 import io
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,13 @@ from specrad import (
     write_tensor,
 )
 from specrad.solver import residual
-from specrad.tensor import MAX_DENSE_ENTRIES, MAX_ORDER, check_shape, diagonal_similarity
+from specrad.tensor import (
+    MAX_DENSE_ENTRIES,
+    MAX_ORDER,
+    _kron_weights,
+    check_shape,
+    diagonal_similarity,
+)
 
 shapes = st.sampled_from([(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)])
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -79,6 +86,13 @@ class TestDenseTensor:
         assert DenseTensor(np.ones((1,) * MAX_ORDER)).order == MAX_ORDER
         with pytest.raises(ValueError, match=f"cap of {MAX_ORDER}, got {MAX_ORDER + 1}"):
             DenseTensor(np.ones((1,) * (MAX_ORDER + 1)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_complex_entries(self):
+        # a float cast would keep only the real part, with a warning at most
+        for data in (np.array([[1 + 2j, 0], [0, 1]]), [[1 + 0j, 0], [0, 1]]):
+            with pytest.raises(ValueError, match="real"):
+                DenseTensor(data)
 
     def test_entries_are_lexicographic_flat_view(self):
         t = random_tensor(3, 2, seed=5)
@@ -212,6 +226,46 @@ class TestContract:
         x = np.random.default_rng(seed).uniform(0.0, 2.0, size=dim)
         total = DenseTensor(a.data + b.data)
         assert contract(total, x) == pytest.approx(contract(a, x) + contract(b, x), rel=1e-12)
+
+
+def kron_weights_by_product(x: np.ndarray, order: int, op) -> np.ndarray:
+    """Reference for ``_kron_weights``: one entry per index tuple ``(i2..im)``
+    of ``itertools.product``, folded from the right as ``op(x[i2], op(...))``."""
+    out = []
+    for index in itertools.product(range(len(x)), repeat=order - 1):
+        value = x[index[-1]]
+        for j in reversed(index[:-1]):
+            value = op(x[j], value)
+        out.append(value)
+    return np.array(out)
+
+
+class TestKronWeights:
+    @pytest.mark.parametrize("op", [np.multiply, np.logical_and, np.bitwise_or])
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["vector", "batched"])
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    def test_matches_index_tuple_loop(self, op, batch, order):
+        rng = np.random.default_rng(order)
+        for dim in range(1, 5):
+            shape = (dim,) + batch
+            x = {
+                np.multiply: rng.uniform(0.1, 3.0, size=shape),
+                np.logical_and: rng.random(size=shape) < 0.7,
+                np.bitwise_or: rng.integers(0, 2**20, size=shape),
+            }[op]
+            w = _kron_weights(x, order, op)
+            assert w.shape == (dim ** (order - 1),) + batch
+            assert w.dtype == x.dtype
+            assert np.array_equal(w, kron_weights_by_product(x, order, op)), dim
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    def test_float_vector_is_bit_equal_to_the_broadcast_loop(self, order):
+        for dim in range(1, 5):
+            x = np.random.default_rng(dim).uniform(0.1, 3.0, size=dim)
+            w = x
+            for _ in range(order - 2):
+                w = (x[:, None] * w).reshape(-1)
+            assert _kron_weights(x, order).tobytes() == w.tobytes()
 
 
 class TestRowSums:
