@@ -56,20 +56,25 @@ class DenseTensor:
 
     The backing array has shape ``(n,) * m`` in C order, so the flat view
     ``entries`` enumerates entries lexicographically by multi-index.
-    Construction rejects complex, negative, NaN and infinite entries
-    outright; the spectral theory used downstream assumes nonnegativity.  It
-    also rejects an order above :data:`MAX_ORDER`, the largest order
-    :func:`check_shape` and a file header accept.  The constructor copies
-    ``data``, so later changes to the caller's array never reach the tensor;
-    the package's own constructors hand over a fresh array instead
-    (:meth:`_own`).  The row sums are computed once, during validation, and
-    kept read-only beside the entries (:func:`row_sums`).
+    Construction rejects complex, string, bytes, date, negative, NaN and
+    infinite entries outright; the spectral theory used downstream assumes
+    nonnegativity.  It also rejects an order above :data:`MAX_ORDER`, the
+    largest order :func:`check_shape` and a file header accept.  The
+    constructor copies ``data``, so later changes to the caller's array never
+    reach the tensor; the package's own constructors hand over a fresh array
+    instead (:meth:`_own`).  The row sums are computed once, during
+    validation, and kept read-only beside the entries (:func:`row_sums`).
     """
 
     def __init__(self, data):
-        if np.iscomplexobj(data):
-            raise ValueError("tensor entries must be real")
-        self._data, self._row_sums = _validated(np.array(data, dtype=float, order="C"))
+        arr = np.asarray(data)
+        if arr.dtype.kind not in "biufO":
+            raise ValueError(f"tensor entries must be real numbers, got dtype {arr.dtype}")
+        try:
+            arr = np.array(arr, dtype=float, order="C")
+        except TypeError as exc:  # an object array holding e.g. a complex number
+            raise ValueError(f"tensor entries must be real numbers: {exc}") from None
+        self._data, self._row_sums = _validated(arr)
 
     @classmethod
     def _own(cls, arr: np.ndarray) -> DenseTensor:

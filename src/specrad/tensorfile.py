@@ -10,12 +10,12 @@ The header gives order and dimension; every following non-blank line sets
 one entry at a 1-based multi-index.  Omitted positions are zero and a
 repeated index tuple is a hard parse error (never last-one-wins).
 
-Reading parses the whole body in one ``np.loadtxt`` pass and validates the
-index and value arrays in bulk.  Any input that pass rejects (or warns
-about) is parsed again line by line; that per-line pass is the only source
-of :class:`ParseError` and its line number, and it also accepts the few
-spellings ``int``/``float`` take but ``loadtxt`` does not (``1_0``,
-non-ASCII digits), with the same result.
+Reading parses the whole body in one ``np.loadtxt`` pass that only places
+the entries; :class:`DenseTensor` checks the values.  Any input rejected
+there (or that makes ``loadtxt`` warn) is parsed again line by line; that
+per-line pass is the only source of :class:`ParseError` and its line number,
+and it also accepts the few spellings ``int``/``float`` take but ``loadtxt``
+does not (``1_0``, non-ASCII digits), with the same result.
 
 Traces are written as CSV with the header ``k,r,R,gap,mid``.  Both writers
 take a path or a text stream.
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from typing import IO, Optional, Union
+from typing import IO, Union
 
 import numpy as np
 
@@ -60,27 +60,21 @@ def _parse_header(lines) -> tuple[int, int]:
     return order, dim
 
 
-def _parse_bulk(lines: list[str], order: int, dim: int) -> Optional[np.ndarray]:
-    """Entries of ``lines[1:]``, or None if any line is not plainly valid."""
+def _parse_bulk(lines: list[str], order: int, dim: int) -> np.ndarray:
+    """Entries of ``lines[1:]``, placed unchecked (:class:`DenseTensor` checks
+    the values); raises on a line ``loadtxt`` rejects or warns about, an index
+    outside ``1..dim`` or a repeated index tuple."""
     fields = [(f"i{k}", np.int64) for k in range(order)] + [("value", np.float64)]
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            table = np.loadtxt(lines, dtype=fields, comments=None, skiprows=1, ndmin=1)
-    except (ValueError, OverflowError, Warning):
-        return None
-    index = tuple(table[f"i{k}"] - 1 for k in range(order))
-    values = table["value"]
-    if any(((i < 0) | (i >= dim)).any() for i in index):
-        return None
-    if not np.isfinite(values).all() or (values < 0).any():
-        return None
-    seen = np.zeros((dim,) * order, dtype=bool)
-    seen[index] = True
-    if np.count_nonzero(seen) != values.size:
-        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = np.loadtxt(lines, dtype=fields, comments=None, skiprows=1, ndmin=1)
+    flat = np.ravel_multi_index(tuple(table[f"i{k}"] - 1 for k in range(order)), (dim,) * order)
     data = np.zeros((dim,) * order)
-    data[index] = values
+    seen = np.zeros(data.size, dtype=bool)
+    seen[flat] = True
+    if np.count_nonzero(seen) != flat.size:
+        raise ValueError("duplicate index tuple")
+    data.reshape(-1)[flat] = table["value"]
     return data
 
 
@@ -132,10 +126,10 @@ def read_tensor(source: PathOrFile) -> DenseTensor:
     lines = text.splitlines()
     order, dim = _parse_header(lines)
 
-    data = _parse_bulk(lines, order, dim)
-    if data is None:
-        data = _parse_lines(lines, order, dim)
-    return DenseTensor._own(data)
+    try:
+        return DenseTensor._own(_parse_bulk(lines, order, dim))
+    except (ValueError, OverflowError, Warning):
+        return DenseTensor._own(_parse_lines(lines, order, dim))
 
 
 def write_tensor(tensor: DenseTensor, dest: PathOrFile) -> None:

@@ -100,6 +100,27 @@ def diagonal_similarity_loops(t: DenseTensor, d) -> np.ndarray:
     return out
 
 
+def planted_tensor(order: int, dim: int, seed: int, c: float = 10.0):
+    """Seeded tensor with spectral radius ``c`` and eigenvector ``∝ 1/d``,
+    returned with ``d``; both follow from the construction, not from a solver.
+
+    ``C`` has a positive superdiagonal, zeros on about half its other
+    entries for odd seeds, and every row summing to ``c``: the all-ones
+    vector is an eigenvector for ``c``, and ``c`` is the spectral radius
+    since the row sums bracket it.  The diagonal similarity by ``d`` (spread
+    up to 30 times) keeps the spectrum and maps that eigenvector to ``1/d``.
+    """
+    rng = np.random.default_rng(seed)
+    shape = (dim,) * order
+    data = rng.uniform(0.0, 1.0, size=shape)
+    if seed % 2:
+        data *= rng.random(size=shape) < 0.5
+    data[(np.arange(dim),) * order] += 1.0
+    data *= (c / data.reshape(dim, -1).sum(axis=1)).reshape((dim,) + (1,) * (order - 1))
+    d = 30.0 ** rng.uniform(0.0, 1.0, size=dim)
+    return DenseTensor(diagonal_similarity_loops(DenseTensor(data), d)), d
+
+
 def reducing_subset_ok(t: DenseTensor, witness_1based) -> bool:
     """Entry-by-entry zero-pattern check of a claimed reducing subset."""
     n, m = t.dim, t.order

@@ -16,6 +16,7 @@ from conftest import (
     empty_row_tensor,
     golden_b,
     identity_tensor,
+    planted_tensor,
     sparse_tensor,
 )
 from specrad import (
@@ -24,6 +25,7 @@ from specrad import (
     add_identity_shift,
     contraction_factor,
     init_state,
+    irreducible_iterative,
     power_iteration,
     random_tensor,
     row_sums,
@@ -386,6 +388,29 @@ class TestSolveGeneral:
             report = solve(DenseTensor(m))
             truth = float(np.max(np.abs(np.linalg.eigvals(m))))
             assert report.rho == pytest.approx(truth, abs=1e-6)
+
+
+class TestPlantedSpectrum:
+    """Inputs whose spectral radius and eigenvector are known by
+    construction (``planted_tensor``), so no solver output is compared with
+    another solver's."""
+
+    SHAPES = [(8, 3), (5, 4), (4, 5), (20, 2), (12, 3), (3, 6)]  # (n, m)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n,m", SHAPES)
+    def test_solver_and_oracle_find_the_planted_pair(self, n, m, seed):
+        c = 10.0
+        t, d = planted_tensor(m, n, seed, c)
+        report = solve(t)
+        assert report.converged
+        assert abs(report.rho - c) <= report.final_gap / 2 + 1e-12 * c
+        if irreducible_iterative(t).irreducible:
+            want = (1 / d) / np.linalg.norm(1 / d)
+            got = report.eigenvector / np.linalg.norm(report.eigenvector)
+            assert np.max(np.abs(got - want)) <= 1e-6
+        estimate = power_iteration(t)
+        assert estimate.lower <= c <= estimate.upper
 
 
 class TestResidual:

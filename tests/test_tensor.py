@@ -1,6 +1,7 @@
 import io
 import itertools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,10 +90,20 @@ class TestDenseTensor:
 
     @pytest.mark.filterwarnings("error")
     def test_rejects_complex_entries(self):
-        # a float cast would keep only the real part, with a warning at most
-        for data in (np.array([[1 + 2j, 0], [0, 1]]), [[1 + 0j, 0], [0, 1]]):
+        # a float cast would keep only the real part, with a warning at most,
+        # parse a string, or count the seconds of a date
+        for data in (
+            np.array([[1 + 2j, 0], [0, 1]]),
+            [[1 + 0j, 0], [0, 1]],
+            [[1, "2"], [0, 1]],
+            [[b"1", b"2"], [b"0", b"1"]],
+            np.array([[1, 2], [0, 1]], dtype="datetime64[s]"),
+            np.array([[1 + 2j, 0], [0, 1]], dtype=object),
+        ):
             with pytest.raises(ValueError, match="real"):
                 DenseTensor(data)
+        halves = np.array([[Fraction(1, 2), 0], [0, 1]], dtype=object)
+        assert DenseTensor(halves).data[0, 0] == 0.5
 
     def test_entries_are_lexicographic_flat_view(self):
         t = random_tensor(3, 2, seed=5)
