@@ -14,11 +14,12 @@ product, where ``L <= n**(m-1)`` counts the index tuples carrying a
 positive entry.  Its two float32 ``(n, L)`` arrays add about the tensor's
 own size in memory.
 
-The subset search works on Python ints: each row keeps the distinct
-bitmasks of its positive index tuples, each subset is built with its own
-bitmask, and a subset reduces iff every mask of every row inside it meets
-the subset's mask.  Subsets come in lexicographic order and the scan stops
-at the first reducing one.
+The subset search decides all ``2**n`` subset bitmasks at once: one
+``2**n``-long integer array records, per subset, the rows positive on an
+index tuple that avoids it, filled in one scatter over the index tuples and
+``n`` in-place passes, so a subset reduces iff none of its own rows is
+recorded.  The lexicographically smallest reducing subset is then picked in
+at most ``n`` rounds; at the cap of ``n = 20`` the arrays take about 17 MiB.
 """
 
 from __future__ import annotations
@@ -109,10 +110,12 @@ def irreducible_iterative(b: DenseTensor) -> IrreducibilityVerdict:
 
 
 def reducible_bruteforce(b: DenseTensor) -> IrreducibilityVerdict:
-    """Decide irreducibility by scanning all nonempty proper index subsets.
+    """Decide irreducibility by testing every nonempty proper index subset.
 
-    Exact by definition; capped at dimension ``BRUTE_FORCE_DIM_CAP``.  When
-    reducible, returns the lexicographically smallest reducing subset.
+    Exact by definition; capped at dimension ``BRUTE_FORCE_DIM_CAP``.  Every
+    subset is a bitmask ``S`` in ``0 .. 2**n - 1`` and all are tested
+    together in ``O(n * 2**n + n**m)`` array work.  When reducible, returns
+    the lexicographically smallest reducing subset (as a sorted tuple).
     """
     n, m = b.dim, b.order
     if n > BRUTE_FORCE_DIM_CAP:
@@ -121,21 +124,28 @@ def reducible_bruteforce(b: DenseTensor) -> IrreducibilityVerdict:
             "use irreducible_iterative instead"
         )
 
-    tuple_masks = _kron_weights(1 << np.arange(n), m, np.bitwise_or)
-    positive = b._rows > 0
-    row_masks = [np.unique(tuple_masks[positive[i]]).tolist() for i in range(n)]
+    # Bit i of missed[S]: row i is positive on an index tuple that avoids S.
+    # Seed each tuple's complement with the rows positive on it, then close
+    # downward, since an index tuple that avoids S avoids every subset of S.
+    full, bits = (1 << n) - 1, 1 << np.arange(n)
+    positive_rows = bits @ (b._rows > 0)
+    missed = np.zeros(1 << n, dtype=bits.dtype)
+    np.bitwise_or.at(missed, full ^ _kron_weights(bits, m, np.bitwise_or), positive_rows)
+    for j in range(n):
+        pairs = missed.reshape(-1, 2, 1 << j)
+        pairs[:, 0] |= pairs[:, 1]
+    # S reduces iff no row inside S misses it; drop 0 and full, which always do.
+    reducing = np.flatnonzero((missed & np.arange(1 << n)) == 0)[1:-1]
+    if not reducing.size:
+        return IrreducibilityVerdict(irreducible=True)
 
-    # Nonempty proper subsets in lexicographic order, each with its bitmask.
-    def extend(prefix: tuple[int, ...], prefix_mask: int, start: int):
-        for j in range(start, n):
-            subset, subset_mask = prefix + (j,), prefix_mask | 1 << j
-            if len(subset) < n:
-                yield subset, subset_mask
-                yield from extend(subset, subset_mask, j + 1)
-
-    for subset, subset_mask in extend((), 0, 0):
-        if all(all(t & subset_mask for t in row_masks[i]) for i in subset):
-            return IrreducibilityVerdict(
-                irreducible=False, witness=tuple(i + 1 for i in subset)
-            )
-    return IrreducibilityVerdict(irreducible=True)
+    # Smallest as a sorted tuple: take the least index any candidate holds,
+    # keep the candidates holding it and clear it; a candidate emptied first
+    # is a prefix of the others.
+    witness = []
+    while reducing.all():
+        low = reducing & -reducing
+        least = low.min()
+        witness.append(int(least).bit_length())
+        reducing = reducing[low == least] ^ least
+    return IrreducibilityVerdict(irreducible=False, witness=tuple(witness))

@@ -70,6 +70,9 @@ class DenseTensor:
         arr = np.asarray(data)
         if arr.dtype.kind not in "biufO":
             raise ValueError(f"tensor entries must be real numbers, got dtype {arr.dtype}")
+        # a float cast would parse a string held in an object array
+        if arr.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in arr.flat):
+            raise ValueError("tensor entries must be real numbers, got a string or bytes")
         try:
             arr = np.array(arr, dtype=float, order="C")
         except TypeError as exc:  # an object array holding e.g. a complex number

@@ -129,7 +129,9 @@ def read_tensor(source: PathOrFile) -> DenseTensor:
     try:
         return DenseTensor._own(_parse_bulk(lines, order, dim))
     except (ValueError, OverflowError, Warning):
-        return DenseTensor._own(_parse_lines(lines, order, dim))
+        pass
+    # outside the handler, so a ParseError does not chain the bulk rejection
+    return DenseTensor._own(_parse_lines(lines, order, dim))
 
 
 def write_tensor(tensor: DenseTensor, dest: PathOrFile) -> None:

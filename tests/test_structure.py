@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from conftest import golden_b, identity_tensor, reducing_subset_ok, sparse_tensor
 from specrad import (
     DenseTensor,
+    IrreducibilityVerdict,
     add_identity_shift,
     contract,
     irreducible_iterative,
     random_tensor,
     reducible_bruteforce,
 )
-from specrad.structure import _reached
+from specrad.structure import BRUTE_FORCE_DIM_CAP, _reached
 from specrad.tensor import MAX_ORDER
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -187,8 +188,46 @@ class TestBruteForce:
                 expected = (witness is None, witness)
                 assert (verdict.irreducible, verdict.witness) == expected, (dim, density)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=seeds,
+        order=st.integers(min_value=2, max_value=4),
+        dim=st.integers(min_value=1, max_value=7),
+        density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    )
+    def test_matches_sorted_subset_reference_on_generated_tensors(
+        self, seed, order, dim, density
+    ):
+        t = sparse_tensor(order, dim, seed, density)
+        verdict, witness = reducible_bruteforce(t), smallest_reducing_subset(t)
+        assert (verdict.irreducible, verdict.witness) == (witness is None, witness)
+        if density == 0.0 and dim > 1:
+            assert witness == (1,)
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_dim_one_matches_reference(self, order):
+        for t in (random_tensor(order, 1, seed=0), DenseTensor(np.zeros((1,) * order))):
+            assert smallest_reducing_subset(t) is None
+            assert reducible_bruteforce(t) == IrreducibilityVerdict(irreducible=True)
+
     def test_strictly_positive_is_irreducible(self):
         assert reducible_bruteforce(random_tensor(3, 4, seed=8)).irreducible
+
+    def test_positive_matrix_at_the_cap_is_irreducible(self):
+        t = random_tensor(2, BRUTE_FORCE_DIM_CAP, seed=1)
+        assert t.data.min() > 0
+        assert reducible_bruteforce(t) == IrreducibilityVerdict(irreducible=True)
+
+    def test_planted_block_at_the_cap_is_the_witness(self):
+        # rows 11..20 vanish on every tuple inside 1..10 and all else is
+        # positive, so {11, ..., 20} is the only reducing subset
+        data = random_tensor(3, BRUTE_FORCE_DIM_CAP, seed=1).data.copy()
+        assert data.min() > 0
+        data[10:, :10, :10] = 0.0
+        t = DenseTensor(data)
+        verdict = reducible_bruteforce(t)
+        assert verdict.witness == tuple(range(11, 21))
+        assert reducing_subset_ok(t, verdict.witness)
 
     def test_golden_witness_is_lexicographically_smallest(self, golden):
         verdict = reducible_bruteforce(golden)

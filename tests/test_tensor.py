@@ -99,6 +99,8 @@ class TestDenseTensor:
             [[b"1", b"2"], [b"0", b"1"]],
             np.array([[1, 2], [0, 1]], dtype="datetime64[s]"),
             np.array([[1 + 2j, 0], [0, 1]], dtype=object),
+            np.array([[1, "2"], [0, 1]], dtype=object),
+            np.array([[1, b"2"], [0, 1]], dtype=object),
         ):
             with pytest.raises(ValueError, match="real"):
                 DenseTensor(data)

@@ -65,6 +65,17 @@ def test_duplicate_tuple_is_error_with_line_number():
         assert exc.lineno == 4
 
 
+def test_parse_errors_do_not_chain_the_bulk_rejection():
+    for text, lineno in (
+        ("2 2\n1 1 1.0\n2 2 nan\n", 3),
+        ("2 2\n1 1 3.0\n2 1 4.0\n1 1 5.0\n", 4),
+    ):
+        with pytest.raises(ParseError) as info:
+            read_tensor(io.StringIO(text))
+        assert info.value.lineno == lineno
+        assert info.value.__context__ is None
+
+
 def test_header_errors():
     with pytest.raises(ParseError, match="line 1"):
         read_tensor(io.StringIO(""))
