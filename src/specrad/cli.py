@@ -26,7 +26,8 @@ def _fmt_vector(values) -> str:
 
 
 def run_solve(args) -> int:
-    config = SolverConfig(alpha=args.alpha, tol=args.tol, max_iter=args.max_iter)
+    trace = args.trace_csv is not None
+    config = SolverConfig(alpha=args.alpha, tol=args.tol, max_iter=args.max_iter, trace=trace)
     tensor = read_tensor(args.path)
     report = solve(tensor, config)
 

@@ -22,6 +22,16 @@ MAX_DENSE_ENTRIES = 50_000_000
 MAX_ORDER = MAX_DENSE_ENTRIES.bit_length() - 1
 
 
+def _real_array(data, name: str) -> np.ndarray:
+    """Fresh C-order float64 copy of a caller's tensor or vector, whose dtype
+    must be bool, integer or float: a cast of any other (complex, string,
+    bytes, date, object) would drop an imaginary part or parse a value."""
+    arr = np.asarray(data)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be real numbers, got dtype {arr.dtype}")
+    return np.array(arr, dtype=float, order="C")
+
+
 def _validated(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``arr`` and its row sums, both made read-only, once ``arr`` passes the
     tensor checks.
@@ -56,28 +66,20 @@ class DenseTensor:
 
     The backing array has shape ``(n,) * m`` in C order, so the flat view
     ``entries`` enumerates entries lexicographically by multi-index.
-    Construction rejects complex, string, bytes, date, negative, NaN and
-    infinite entries outright; the spectral theory used downstream assumes
-    nonnegativity.  It also rejects an order above :data:`MAX_ORDER`, the
-    largest order :func:`check_shape` and a file header accept.  The
-    constructor copies ``data``, so later changes to the caller's array never
-    reach the tensor; the package's own constructors hand over a fresh array
-    instead (:meth:`_own`).  The row sums are computed once, during
-    validation, and kept read-only beside the entries (:func:`row_sums`).
+    Construction accepts bool, integer and float dtypes only, as every
+    vector argument does (:func:`_real_array`), so object arrays are
+    rejected; so are negative, NaN and infinite entries, which the spectral
+    theory used downstream excludes.  It also rejects an order above
+    :data:`MAX_ORDER`, the largest order :func:`check_shape` and a file
+    header accept.  The constructor copies ``data``, so later changes to the
+    caller's array never reach the tensor; the package's own constructors
+    hand over a fresh array instead (:meth:`_own`).  The row sums are
+    computed once, during validation, and kept read-only beside the entries
+    (:func:`row_sums`).
     """
 
     def __init__(self, data):
-        arr = np.asarray(data)
-        if arr.dtype.kind not in "biufO":
-            raise ValueError(f"tensor entries must be real numbers, got dtype {arr.dtype}")
-        # a float cast would parse a string held in an object array
-        if arr.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in arr.flat):
-            raise ValueError("tensor entries must be real numbers, got a string or bytes")
-        try:
-            arr = np.array(arr, dtype=float, order="C")
-        except TypeError as exc:  # an object array holding e.g. a complex number
-            raise ValueError(f"tensor entries must be real numbers: {exc}") from None
-        self._data, self._row_sums = _validated(arr)
+        self._data, self._row_sums = _validated(_real_array(data, "tensor entries"))
 
     @classmethod
     def _own(cls, arr: np.ndarray) -> DenseTensor:
@@ -125,7 +127,7 @@ class DenseTensor:
 
 
 def _check_vector(a: DenseTensor, x, name: str = "x") -> np.ndarray:
-    vec = np.asarray(x, dtype=float)
+    vec = _real_array(x, name)
     if vec.shape != (a.dim,):
         raise ValueError(f"{name} must have length {a.dim}, got shape {vec.shape}")
     if not np.isfinite(vec).all():
@@ -221,10 +223,11 @@ def add_identity_shift(b: DenseTensor, alpha: float) -> DenseTensor:
     """Add ``alpha`` at every superdiagonal position ``(i, i, ..., i)``.
 
     The superdiagonal unit tensor acts as ``x -> x**(m-1)`` componentwise,
-    so this shifts every eigenvalue of ``b`` by exactly ``alpha``.
+    so this shifts every eigenvalue of ``b`` by exactly ``alpha``, which
+    must be finite and nonnegative.
     """
-    if not alpha >= 0:
-        raise ValueError(f"shift must be nonnegative, got {alpha}")
+    if not 0 <= alpha < np.inf:
+        raise ValueError(f"shift must be finite and nonnegative, got {alpha}")
     out = np.array(b.data, copy=True)
     # (i, ..., i) is flat position i * (1 + n + ... + n**(m-1))
     out.reshape(-1)[:: sum(b.dim**k for k in range(b.order))] += alpha

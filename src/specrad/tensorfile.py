@@ -115,12 +115,13 @@ def _parse_lines(lines: list[str], order: int, dim: int) -> np.ndarray:
 def read_tensor(source: PathOrFile) -> DenseTensor:
     """Parse a tensor from a path or text file object.
 
-    Raises :class:`ParseError` (with the line number) on malformed input.
+    A path is read as UTF-8, with or without a byte-order mark.  Raises
+    :class:`ParseError` (with the line number) on malformed input.
     """
     if hasattr(source, "read"):
         text = source.read()
     else:
-        with open(source, encoding="utf-8") as handle:
+        with open(source, encoding="utf-8-sig") as handle:
             text = handle.read()
 
     lines = text.splitlines()

@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+import specrad.cli
 from conftest import golden_file_text
-from specrad import DenseTensor, SolverConfig, random_tensor, read_tensor, write_tensor
+from specrad import DenseTensor, SolverConfig, random_tensor, read_tensor, solve, write_tensor
 from specrad.cli import build_parser, main
 from specrad.tensor import MAX_ORDER
 
@@ -103,6 +104,19 @@ class TestSolveCommand:
         out = capsys.readouterr().out.splitlines()
         assert [line for line in out if not line.startswith(("residual", "eigenvector"))] == lines
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_sha256
+
+    def test_trace_is_kept_only_for_the_csv(self, golden_path, tmp_path, monkeypatch, capsys):
+        seen = []
+
+        def recording_solve(tensor, config):
+            seen.append(config.trace)
+            return solve(tensor, config)
+
+        monkeypatch.setattr(specrad.cli, "solve", recording_solve)
+        assert main(["solve", golden_path]) == 0
+        assert main(["solve", golden_path, "--trace-csv", str(tmp_path / "trace.csv")]) == 0
+        assert seen == [False, True]
+        assert len((tmp_path / "trace.csv").read_text().splitlines()) == 53
 
     def test_normalize_flag_rescales_eigenvector(self, golden_path, capsys):
         main(["solve", golden_path, "--normalize"])

@@ -25,6 +25,7 @@ from specrad import (
     row_sums,
     write_tensor,
 )
+from specrad.oracles import collatz_wielandt_bounds
 from specrad.solver import residual
 from specrad.tensor import (
     MAX_DENSE_ENTRIES,
@@ -47,6 +48,43 @@ def contract_by_ndindex(t: DenseTensor, x) -> np.ndarray:
             term *= x[j]
         out[index[0]] += term
     return out
+
+
+# Caller arrays the one dtype rule rejects, as 2x2 tensors; row 0 of each is
+# the vector form.  A float cast would keep only the real part, with a warning
+# at most, parse a string, count the seconds of a date, round a Fraction or
+# overflow on a Python int beyond the float range.
+NOT_REAL = [
+    np.array([[1 + 2j, 0], [0, 1]]),
+    [[1 + 0j, 0], [0, 1]],
+    [[1, "2"], [0, 1]],
+    [[b"1", b"2"], [b"0", b"1"]],
+    np.array([[1, 2], [0, 1]], dtype="datetime64[s]"),
+    np.array([[1 + 2j, 0], [0, 1]], dtype=object),
+    np.array([[1, "2"], [0, 1]], dtype=object),
+    np.array([[1, b"2"], [0, 1]], dtype=object),
+    np.array([[Fraction(1, 2), 0], [0, 1]], dtype=object),
+    [[10**400, 0], [0, 1]],
+]
+
+# every public function that takes a length-n vector from its caller
+VECTOR_FUNCTIONS = {
+    "contract": contract,
+    "diagonal_similarity": lambda a, x: diagonal_similarity(a, x).data,
+    "collatz_wielandt_bounds": lambda a, x: np.array(collatz_wielandt_bounds(a, x)),
+    "residual": lambda a, x: np.array(residual(a, 2.0, x)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fn", VECTOR_FUNCTIONS.values(), ids=VECTOR_FUNCTIONS.keys())
+def test_vector_arguments_follow_the_tensor_dtype_rule(fn):
+    a = DenseTensor([[1.0, 2.0], [3.0, 0.5]])
+    for data in NOT_REAL:
+        with pytest.raises(ValueError, match="must be real numbers, got dtype"):
+            fn(a, data[0])
+    for x in ([True, True], [1, 3], np.array([2, 1], dtype=np.uint8)):
+        assert fn(a, x).tobytes() == fn(a, np.asarray(x, dtype=float)).tobytes()
 
 
 class TestDenseTensor:
@@ -90,22 +128,16 @@ class TestDenseTensor:
 
     @pytest.mark.filterwarnings("error")
     def test_rejects_complex_entries(self):
-        # a float cast would keep only the real part, with a warning at most,
-        # parse a string, or count the seconds of a date
-        for data in (
-            np.array([[1 + 2j, 0], [0, 1]]),
-            [[1 + 0j, 0], [0, 1]],
-            [[1, "2"], [0, 1]],
-            [[b"1", b"2"], [b"0", b"1"]],
-            np.array([[1, 2], [0, 1]], dtype="datetime64[s]"),
-            np.array([[1 + 2j, 0], [0, 1]], dtype=object),
-            np.array([[1, "2"], [0, 1]], dtype=object),
-            np.array([[1, b"2"], [0, 1]], dtype=object),
-        ):
-            with pytest.raises(ValueError, match="real"):
+        for data in NOT_REAL:
+            with pytest.raises(ValueError, match="tensor entries must be real numbers, got dtype"):
                 DenseTensor(data)
-        halves = np.array([[Fraction(1, 2), 0], [0, 1]], dtype=object)
-        assert DenseTensor(halves).data[0, 0] == 0.5
+
+    @pytest.mark.parametrize("dtype", [bool, np.int64, np.uint8])
+    def test_bool_int_and_uint_entries_are_the_float_cast(self, dtype):
+        data = np.array([[[1, 0], [2, 1]], [[0, 3], [1, 1]]]).astype(dtype)
+        cast = DenseTensor(data.astype(float))
+        assert DenseTensor(data).data.tobytes() == cast.data.tobytes()
+        assert row_sums(DenseTensor(data)).tobytes() == row_sums(cast).tobytes()
 
     def test_entries_are_lexicographic_flat_view(self):
         t = random_tensor(3, 2, seed=5)
@@ -403,6 +435,11 @@ class TestAddIdentityShift:
     def test_rejects_negative_shift(self):
         with pytest.raises(ValueError, match="nonnegative"):
             add_identity_shift(golden_b(), -1.0)
+
+    def test_rejects_non_finite_shift(self):
+        for alpha in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="shift must be finite and nonnegative"):
+                add_identity_shift(golden_b(), alpha)
 
     @settings(max_examples=20, deadline=None)
     @given(shape=shapes, seed=seeds, alpha=st.floats(min_value=0.0, max_value=5.0))

@@ -27,6 +27,13 @@ def test_golden_file_parses(tmp_path):
     assert row_sums(t) == pytest.approx([3.72, 9.02, 9.55], rel=1e-15)
 
 
+def test_a_path_may_start_with_a_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(golden_file_text().encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + golden_file_text().encode("utf-8"))
+    assert read_tensor(marked) == read_tensor(plain)
+
+
 def test_omitted_positions_are_zero():
     t = read_tensor(io.StringIO("2 2\n1 1 5.0\n"))
     assert t.data[0, 0] == 5.0
