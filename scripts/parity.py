@@ -35,7 +35,8 @@ The corpus:
   files read from a path with and without a byte-order mark;
 - caller arrays of every dtype, as tensors and as vector arguments;
 - superdiagonal shifts and solver configurations, finite or not;
-- the CLI on golden: ``solve`` with its flags, ``check`` and ``random``.
+- the CLI on golden: ``solve`` with its flags, ``check`` and ``random``,
+  and both with an empty output path.
 
 Shapes are written ``(n, m)``: dimension, then order.  Floats of an array
 with more than ``FLOAT_CAP`` entries are summarised by its minimum, maximum
@@ -437,8 +438,11 @@ def cases(directory: Path):
         ["check", str(path)],
         ["random", "--m", "3", "--n", "4", "--seed", "7"],
         ["random", "--m", str(MAX_ORDER + 1), "--n", "1"],
+        ["solve", str(path), "--trace-csv", ""],
+        ["random", "--m", "2", "--n", "2", "--out", ""],
     ):
-        label = " ".join(a if a != str(path) else "golden.txt" for a in argv if a != trace)
+        names = {str(path): "golden.txt", "": '""'}
+        label = " ".join(names.get(a, a) for a in argv if a != trace)
         yield f"cli {label}", lambda a=argv: _cli(a, directory)
 
 

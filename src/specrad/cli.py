@@ -53,7 +53,7 @@ def run_solve(args) -> int:
             f"(mid {mid:.6g}, {estimate.iterations} iterations, {status})"
         )
 
-    if args.trace_csv:
+    if config.trace:
         write_trace_csv(report.trace, args.trace_csv)
 
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
@@ -72,7 +72,7 @@ def run_check(args) -> int:
 
 def run_random(args) -> int:
     tensor = random_tensor(args.m, args.n, args.seed)
-    write_tensor(tensor, args.out if args.out else sys.stdout)
+    write_tensor(tensor, sys.stdout if args.out is None else args.out)
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DenseTensor, _check_start_sums, _check_vector, _contract, row_sums
+from .tensor import DenseTensor, _check_start_sums, _check_vector, _checked_contract, _contract, row_sums
 
 ORACLE_TOL = 1e-9
 ORACLE_MAX_ITER = 10_000
@@ -43,7 +43,7 @@ def collatz_wielandt_bounds(a: DenseTensor, x) -> tuple[float, float]:
     vec = _check_vector(a, x)
     if (vec <= 0).any():
         raise ValueError("x must be strictly positive")
-    ratios = _contract(a._rows, vec, a.order) / vec ** (a.order - 1)
+    ratios = _checked_contract(a, vec) / vec ** (a.order - 1)
     return float(ratios.min()), float(ratios.max())
 
 
@@ -71,10 +71,10 @@ def power_iteration(
 
     Raises ``ValueError`` if ``tol`` is not finite and positive, if
     ``max_iter`` is not an integer ``>= 0``, if a row sums to zero or
-    overflows to ``inf``, or if an iterate turns non-finite.  If an
-    iterate's ``(m-1)``-th power develops a zero component (possible for
-    reducible input) the last valid bracket is returned with
-    ``converged=False``.
+    overflows to ``inf``, or if a contraction turns every entry ``inf`` or
+    any entry NaN.  If an iterate's ``(m-1)``-th power develops a zero
+    component (possible for reducible input) the last valid bracket is
+    returned with ``converged=False``.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -102,12 +102,11 @@ def power_iteration(
         nxt /= np.maximum.reduce(nxt)
         iterations += 1
         powered = nxt ** (m - 1)
-        # a positive minimum rules out a zero power and, since nxt <= 1 and
-        # NaN propagates into the minimum, a non-finite iterate
+        # y holds no NaN and some finite entry here (else the gap was NaN),
+        # so a NaN in nxt (inf / inf) comes with a zero (finite / inf): a
+        # minimum that is not positive means a zero power
         if not np.minimum.reduce(powered) > 0:
-            if (powered == 0).any():
-                return OracleEstimate(lower, upper, x, iterations, converged=False)
-            raise ValueError("power iteration produced a non-finite iterate")
+            return OracleEstimate(lower, upper, x, iterations, converged=False)
         y = _contract(rows, nxt, m)
         ratios = y / powered
         x, lower, upper = nxt, float(np.minimum.reduce(ratios)), float(np.maximum.reduce(ratios))

@@ -38,7 +38,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import DenseTensor, _check_start_sums, _check_vector, _contract, _rescaled_rows, row_sums
+from .tensor import (
+    DenseTensor, _check_start_sums, _check_vector, _checked_contract, _contract, _rescaled_rows,
+    row_sums,
+)
 
 DEFAULT_ALPHA = 1.0
 DEFAULT_TOL = 1e-7
@@ -217,7 +220,7 @@ def step(state: IterationState) -> IterationState:
 def residual(a: DenseTensor, value: float, vector) -> float:
     """Infinity norm of ``contract(a, v) - value * v**(m-1)``."""
     vec = _check_vector(a, vector)
-    defect = _contract(a._rows, vec, a.order) - value * vec ** (a.order - 1)
+    defect = _checked_contract(a, vec) - value * vec ** (a.order - 1)
     return float(np.max(np.abs(defect)))
 
 

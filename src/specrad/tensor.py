@@ -158,6 +158,24 @@ def _contract(rows: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:
     return rows @ _kron_weights(x, order)
 
 
+def _checked_contract(a: DenseTensor, vec: np.ndarray) -> np.ndarray:
+    """:func:`_contract` of a vector :func:`_check_vector` passed.
+
+    Finite entries and a finite vector can still contract past the float
+    range (``[[1e308, 1e308], [0, 1]]`` at all ones); that raises
+    ``ValueError`` naming the first such row, as :func:`_check_start_sums`
+    does for row sums, instead of returning ``inf`` or NaN.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = _contract(a._rows, vec, a.order)
+    bad = ~np.isfinite(y)
+    if bad.any():
+        raise ValueError(
+            f"row {int(np.argmax(bad)) + 1} of the contraction overflows; scale the entries or x down"
+        )
+    return y
+
+
 def contract(a: DenseTensor, x) -> np.ndarray:
     """Contract the tensor with ``x`` along every axis but the first.
 
@@ -166,9 +184,9 @@ def contract(a: DenseTensor, x) -> np.ndarray:
     the multilinear analogue of a matrix-vector product.  It is computed as
     one: the ``(n, n**(m-1))`` view of the entries times the weight vector
     ``x[i2] * ... * x[im]`` (exactly ``a.data @ x`` when the order is 2).
+    Raises ``ValueError`` if a component overflows.
     """
-    vec = _check_vector(a, x)
-    return _contract(a._rows, vec, a.order)
+    return _checked_contract(a, _check_vector(a, x))
 
 
 def row_sums(a: DenseTensor) -> np.ndarray:

@@ -60,6 +60,15 @@ def sparse_tensor(order: int, dim: int, seed: int, density: float = 0.3) -> Dens
     return DenseTensor(values * mask)
 
 
+def chain(n: int, m: int, cyclic: bool) -> DenseTensor:
+    """Row ``i`` is positive only at ``(i, i+1, ..., i+1)``; the open chain
+    leaves the last row empty."""
+    data = np.zeros((n,) * m)
+    rows = np.arange(n if cyclic else n - 1)
+    data[(rows,) + ((rows + 1) % n,) * (m - 1)] = 1.0
+    return DenseTensor(data)
+
+
 def empty_row_tensor() -> DenseTensor:
     """Seeded dense (4, 3) tensor whose first row is all zero (reducible)."""
     data = np.random.default_rng(0).uniform(0.0, 10.0, size=(4, 4, 4))

@@ -1,12 +1,14 @@
 import hashlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import specrad.cli
-from conftest import golden_file_text
+from conftest import chain, golden_file_text
 from specrad import DenseTensor, SolverConfig, random_tensor, read_tensor, solve, write_tensor
 from specrad.cli import build_parser, main
 from specrad.tensor import MAX_ORDER
@@ -230,6 +232,97 @@ class TestRandomCommand:
         capsys.readouterr()
         assert main(["random", "--m", str(MAX_ORDER + 1), "--n", "1"]) == 1
         assert f"cap of {MAX_ORDER}, got {MAX_ORDER + 1}" in capsys.readouterr().err
+
+
+def _by_random(*argv):
+    def write(name):
+        assert main(["random", *argv, "--out", name]) == 0
+
+    return write
+
+
+def _by_text(text):
+    return lambda name: Path(name).write_text(text)
+
+
+def _by_tensor(tensor):
+    return lambda name: write_tensor(tensor, name)
+
+
+# The input files of the command table, each written into the working
+# directory by the row that names it.
+CLI_FILES = {
+    "t.txt": _by_random("--m", "3", "--n", "30", "--seed", "1"),
+    # dense order 16: the irreducibility walk over 2**15 index tuples
+    "hi.txt": _by_random("--m", "16", "--n", "2", "--seed", "1"),
+    # the order cap is 25 on every numpy, the 1.23 floor included
+    "deep.txt": _by_random("--m", "25", "--n", "1"),
+    "chain_cyclic.txt": _by_tensor(chain(40, 3, cyclic=True)),
+    "chain_open.txt": _by_tensor(chain(40, 3, cyclic=False)),
+    # a bad value and a repeated tuple: the bulk pass rejects both, the
+    # per-line pass names the line
+    "nan.txt": _by_text("2 2\n1 1 1.5\n2 1 nan\n"),
+    "dup.txt": _by_text("2 2\n1 1 1.5\n1 1 2.5\n"),
+    # cyclic chain a[i, i+1, i+1] = i: the oracle cycles, so it skips to its cap
+    "cycle.txt": _by_text("3 3\n1 2 2 1\n2 3 3 2\n3 1 1 3\n"),
+    "golden.txt": _by_text(golden_file_text()),
+}
+
+
+def _row(argv, code, expected, written=None):
+    label = " ".join(arg or '""' for arg in argv)
+    return pytest.param(argv, code, expected, written or {}, id=label)
+
+
+# argv, exit code, expected text (in stderr for exit 1, else in stdout), and
+# the files the command writes with their first line
+COMMAND_TABLE = [
+    _row(["solve", "t.txt"], 0, "converged = yes"),
+    _row(["solve", "--oracle", "t.txt"], 0, "oracle bracket = [4490.98, 4490.98]"),
+    _row(["solve", "--alpha", "0", "t.txt"], 0, "rho_shifted = 4489.98"),
+    _row(
+        ["solve", "--trace-csv", "tr.csv", "--normalize", "t.txt"],
+        0,
+        ", 1, ",
+        {"tr.csv": "k,r,R,gap,mid"},
+    ),
+    _row(["check", "t.txt"], 0, "irreducible"),
+    _row(["check", "hi.txt"], 0, "irreducible"),
+    _row(["solve", "deep.txt"], 0, "converged = yes"),
+    _row(["check", "deep.txt"], 0, "irreducible"),
+    _row(["check", "chain_cyclic.txt"], 0, "irreducible"),
+    _row(["check", "chain_open.txt"], 3, "reducible, witness I = {2,3,"),
+    *(
+        _row([verb, name], 1, expected)
+        for verb in ("solve", "check")
+        for name, expected in (
+            ("nan.txt", "line 3: value must be finite"),
+            ("dup.txt", "line 3: duplicate index tuple (1, 1)"),
+        )
+    ),
+    _row(["solve", "--alpha", "0", "--oracle", "cycle.txt"], 2, "10000 iterations, not converged"),
+    # an empty path is as unusable as any other
+    _row(["solve", "golden.txt", "--trace-csv", ""], 1, "error: [Errno 2]"),
+    _row(["random", "--m", "2", "--n", "2", "--out", ""], 1, "error: [Errno 2]"),
+]
+
+
+@pytest.mark.parametrize(("argv", "code", "expected", "written"), COMMAND_TABLE)
+def test_command_table(tmp_path, monkeypatch, capsys, argv, code, expected, written):
+    monkeypatch.chdir(tmp_path)
+    for name in argv:
+        if name in CLI_FILES:
+            CLI_FILES[name](name)
+    inputs = set(os.listdir())
+    capsys.readouterr()
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert expected in (err if code == 1 else out)
+    if "--out" in argv:
+        assert out == ""
+    assert set(os.listdir()) == inputs | set(written)
+    for name, first_line in written.items():
+        assert Path(name).read_text().splitlines()[0] == first_line
 
 
 def test_module_entry_point_runs(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import golden_b, identity_tensor, reducing_subset_ok, sparse_tensor
+from conftest import chain, golden_b, identity_tensor, reducing_subset_ok, sparse_tensor
 from specrad import (
     DenseTensor,
     IrreducibilityVerdict,
@@ -57,15 +57,6 @@ class TestIterative:
         positive = golden.data > 0
         pick = np.ix_([2], [2])
         assert not any(positive[i][pick].any() for i in (0, 1))
-
-
-def chain(n: int, m: int, cyclic: bool) -> DenseTensor:
-    """Row ``i`` is positive only at ``(i, i+1, ..., i+1)``; the open chain
-    leaves the last row empty."""
-    data = np.zeros((n,) * m)
-    rows = np.arange(n if cyclic else n - 1)
-    data[(rows,) + ((rows + 1) % n,) * (m - 1)] = 1.0
-    return DenseTensor(data)
 
 
 class TestChains:
@@ -119,6 +110,19 @@ def stalled_dim_two(m: int) -> DenseTensor:
     return DenseTensor(data)
 
 
+def ladder(n: int) -> DenseTensor:
+    """Order 3 (0-based): ``a[0, 0, 0] = 1`` and ``a[k+1, k, 0] = 1``.  Every
+    positive tuple holds index 0, which only start 0 reaches, so start 0
+    gains one index per round for ``n`` rounds and every other start stalls
+    at once: composing reached sets cannot shorten the walk, and fewer
+    than ``n`` of the ``n**2`` tuples carry an entry."""
+    data = np.zeros((n, n, n))
+    data[0, 0, 0] = 1.0
+    k = np.arange(n - 1)
+    data[k + 1, k, 0] = 1.0
+    return DenseTensor(data)
+
+
 class TestReachedMatrix:
     """The whole reached matrix, not just the verdict it implies."""
 
@@ -138,6 +142,7 @@ class TestReachedMatrix:
             random_tensor(MAX_ORDER, 1, 0),
             random_tensor(16, 2, 0),
             stalled_dim_two(12),
+            ladder(40),
         ],
         ids=[
             "cyclic-chain-80",
@@ -146,6 +151,7 @@ class TestReachedMatrix:
             "max-order-dim-1",
             "dense-16-2",
             "stalled-12-2",
+            "ladder-40",
         ],
     )
     def test_matches_per_start_growth_on_edge_cases(self, t):

@@ -244,6 +244,19 @@ class TestContract:
         with pytest.raises(ValueError, match="finite"):
             contract(a, [1.0, np.nan, 1.0])
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_names_the_row_in_every_vector_function(self):
+        # construction accepts a row sum past the float range; each function
+        # that contracts a caller's vector rejects it, without a warning
+        t = DenseTensor([[1e308, 1e308], [0.0, 1.0]])
+        for call in (
+            lambda: contract(t, [1.0, 1.0]),
+            lambda: residual(t, 2.0, [1.0, 1.0]),
+            lambda: collatz_wielandt_bounds(t, [1.0, 1.0]),
+        ):
+            with pytest.raises(ValueError, match="row 1 of the contraction overflows"):
+                call()
+
     @settings(max_examples=40, deadline=None)
     @given(shape=shapes, seed=seeds)
     def test_matches_scalar_loop_oracle(self, shape, seed):
