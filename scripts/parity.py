@@ -33,10 +33,11 @@ The corpus:
 - ``random_tensor(3, 10, 1)`` scaled from ``2**-1000`` to ``1e300``;
 - tensor files: the bulk/per-line parse cases, header and line errors, and
   files read from a path with and without a byte-order mark;
-- caller arrays of every dtype, as tensors and as vector arguments;
+- caller arrays of every dtype, as tensors and as vector arguments, and
+  vector arguments whose ratio or defect leaves the float range;
 - superdiagonal shifts and solver configurations, finite or not;
 - the CLI on golden: ``solve`` with its flags, ``check`` and ``random``,
-  and both with an empty output path.
+  both with an empty output path, and ``random`` into a missing directory.
 
 Shapes are written ``(n, m)``: dimension, then order.  Floats of an array
 with more than ``FLOAT_CAP`` entries are summarised by its minimum, maximum
@@ -392,6 +393,17 @@ VECTOR_FUNCTIONS = {
 
 NUMBERS = (0.0, 1.0, 2.5, -1.0, math.inf, -math.inf, math.nan, 1e308, 5e-324)
 
+# vector functions whose ratio or defect leaves the float range
+OUT_OF_RANGE = {
+    "collatz_wielandt_bounds ones (2,3) at [1e-200, 1e-200]": (
+        lambda: collatz_wielandt_bounds(DenseTensor(np.ones((2, 2, 2))), [1e-200, 1e-200])
+    ),
+    "collatz_wielandt_bounds ones (2,3) at [1e-200, 1.0]": (
+        lambda: collatz_wielandt_bounds(DenseTensor(np.ones((2, 2, 2))), [1e-200, 1.0])
+    ),
+    "residual [[1.0]] at 1e308, [2.0]": lambda: residual(DenseTensor([[1.0]]), 1e308, [2.0]),
+}
+
 
 def _cli(argv, directory: Path):
     out, err = io.StringIO(), io.StringIO()
@@ -400,7 +412,8 @@ def _cli(argv, directory: Path):
     trace = directory / "trace.csv"
     csv = trace.read_text() if trace.exists() else None
     trace.unlink(missing_ok=True)
-    return code, out.getvalue(), err.getvalue(), csv
+    # an error may name a file in the temporary directory
+    return code, out.getvalue(), err.getvalue().replace(str(directory), "<dir>"), csv
 
 
 def cases(directory: Path):
@@ -418,6 +431,8 @@ def cases(directory: Path):
         yield f"DenseTensor {name}", lambda f=make: DenseTensor(f())
         for fn_name, fn in VECTOR_FUNCTIONS.items():
             yield f"{fn_name} {name}", lambda f=make, fn=fn: fn(square, f()[0])
+    for name, thunk in OUT_OF_RANGE.items():
+        yield name, thunk
     for alpha in NUMBERS:
         yield f"add_identity_shift {alpha!r}", lambda a=alpha: add_identity_shift(golden, a)
         yield f"SolverConfig alpha={alpha!r}", lambda a=alpha: SolverConfig(alpha=a)
@@ -428,6 +443,7 @@ def cases(directory: Path):
     path = directory / "golden.txt"
     path.write_text(GOLDEN_TEXT)
     trace = str(directory / "trace.csv")
+    missing = str(directory / "missing" / "x.txt")
     for argv in (
         ["solve", str(path)],
         ["solve", str(path), "--alpha", "0", "--oracle"],
@@ -440,8 +456,9 @@ def cases(directory: Path):
         ["random", "--m", str(MAX_ORDER + 1), "--n", "1"],
         ["solve", str(path), "--trace-csv", ""],
         ["random", "--m", "2", "--n", "2", "--out", ""],
+        ["random", "--m", "3", "--n", "5", "--out", missing],
     ):
-        names = {str(path): "golden.txt", "": '""'}
+        names = {str(path): "golden.txt", "": '""', missing: "missing/x.txt"}
         label = " ".join(names.get(a, a) for a in argv if a != trace)
         yield f"cli {label}", lambda a=argv: _cli(a, directory)
 

@@ -16,7 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DenseTensor, _check_start_sums, _check_vector, _checked_contract, _contract, row_sums
+from .tensor import (
+    DenseTensor, _check_finite, _check_start_sums, _check_vector, _checked_contract, _contract,
+    _underflows, row_sums,
+)
 
 ORACLE_TOL = 1e-9
 ORACLE_MAX_ITER = 10_000
@@ -38,12 +41,15 @@ def collatz_wielandt_bounds(a: DenseTensor, x) -> tuple[float, float]:
     """Pointwise bracket ``(min, max)`` of ``contract(a, x) / x**(m-1)``.
 
     Requires ``x`` strictly positive; with ``x`` all ones this is exactly
-    the row-sum bracket.
+    the row-sum bracket.  Raises ``ValueError`` naming the first row whose
+    ratio is not finite.
     """
     vec = _check_vector(a, x)
     if (vec <= 0).any():
         raise ValueError("x must be strictly positive")
-    ratios = _checked_contract(a, vec) / vec ** (a.order - 1)
+    with np.errstate(all="ignore"):
+        ratios = _checked_contract(a, vec) / vec ** (a.order - 1)
+    ratios = _check_finite(ratios, "the ratio is not finite; x**(m-1) leaves the float range")
     return float(ratios.min()), float(ratios.max())
 
 
@@ -72,8 +78,9 @@ def power_iteration(
     Raises ``ValueError`` if ``tol`` is not finite and positive, if
     ``max_iter`` is not an integer ``>= 0``, if a row sums to zero or
     overflows to ``inf``, or if a contraction turns every entry ``inf`` or
-    any entry NaN.  If an iterate's ``(m-1)``-th power develops a zero
-    component (possible for reducible input) the last valid bracket is
+    any entry NaN.  If an iterate's ``(m-1)``-th power has a component below
+    the smallest normal float (possible for reducible input), where
+    :func:`~specrad.solver.solve` stops too, the last valid bracket is
     returned with ``converged=False``.
     """
     if not 0 < tol < np.inf:
@@ -103,9 +110,9 @@ def power_iteration(
         iterations += 1
         powered = nxt ** (m - 1)
         # y holds no NaN and some finite entry here (else the gap was NaN),
-        # so a NaN in nxt (inf / inf) comes with a zero (finite / inf): a
-        # minimum that is not positive means a zero power
-        if not np.minimum.reduce(powered) > 0:
+        # so a NaN in nxt (inf / inf) comes with a zero (finite / inf); the
+        # sweep's rule stops at both, and at a power below the normal range
+        if _underflows(powered):
             return OracleEstimate(lower, upper, x, iterations, converged=False)
         y = _contract(rows, nxt, m)
         ratios = y / powered

@@ -39,15 +39,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor import (
-    DenseTensor, _check_start_sums, _check_vector, _checked_contract, _contract, _rescaled_rows,
-    row_sums,
+    DenseTensor, _check_finite, _check_start_sums, _check_vector, _checked_contract, _contract,
+    _rescaled_rows, _underflows, row_sums,
 )
 
 DEFAULT_ALPHA = 1.0
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 100
-
-_TINY = np.finfo(float).tiny
 
 
 def _midpoint(lower: float, upper: float) -> float:
@@ -197,7 +195,7 @@ def _balance(rows, m, alpha, x, sums, upper) -> tuple[np.ndarray, np.ndarray]:
         # power-of-two rescale changes no ratio
         x = np.ldexp(x, -np.frexp(top)[1])
     powered = x ** (m - 1)
-    if np.minimum.reduce(powered) < _TINY:
+    if _underflows(powered):
         raise FloatingPointError("the (m-1)-th power of the scaling underflowed")
     return x, _contract(rows, x, m) / powered + alpha
 
@@ -218,9 +216,14 @@ def step(state: IterationState) -> IterationState:
 
 
 def residual(a: DenseTensor, value: float, vector) -> float:
-    """Infinity norm of ``contract(a, v) - value * v**(m-1)``."""
+    """Infinity norm of ``contract(a, v) - value * v**(m-1)``.
+
+    Raises ``ValueError`` naming the first row whose defect is not finite.
+    """
     vec = _check_vector(a, vector)
-    defect = _checked_contract(a, vec) - value * vec ** (a.order - 1)
+    with np.errstate(all="ignore"):
+        defect = _checked_contract(a, vec) - value * vec ** (a.order - 1)
+    defect = _check_finite(defect, "the defect is not finite; scale the value or the vector down")
     return float(np.max(np.abs(defect)))
 
 

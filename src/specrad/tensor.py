@@ -21,6 +21,8 @@ MAX_DENSE_ENTRIES = 50_000_000
 # 2**25 <= MAX_DENSE_ENTRIES < 2**26, so above it only dimension 1 would fit.
 MAX_ORDER = MAX_DENSE_ENTRIES.bit_length() - 1
 
+_TINY = np.finfo(float).tiny
+
 
 def _real_array(data, name: str) -> np.ndarray:
     """Fresh C-order float64 copy of a caller's tensor or vector, whose dtype
@@ -163,17 +165,28 @@ def _checked_contract(a: DenseTensor, vec: np.ndarray) -> np.ndarray:
 
     Finite entries and a finite vector can still contract past the float
     range (``[[1e308, 1e308], [0, 1]]`` at all ones); that raises
-    ``ValueError`` naming the first such row, as :func:`_check_start_sums`
-    does for row sums, instead of returning ``inf`` or NaN.
+    ``ValueError`` naming the first such row instead of returning ``inf``
+    or NaN.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         y = _contract(a._rows, vec, a.order)
-    bad = ~np.isfinite(y)
+    return _check_finite(y, "the contraction overflows; scale the entries or x down")
+
+
+def _check_finite(values: np.ndarray, problem: str) -> np.ndarray:
+    """``values``, or ``ValueError`` naming the first row that is not finite
+    (as :func:`_check_start_sums` does for row sums)."""
+    bad = ~np.isfinite(values)
     if bad.any():
-        raise ValueError(
-            f"row {int(np.argmax(bad)) + 1} of the contraction overflows; scale the entries or x down"
-        )
-    return y
+        raise ValueError(f"row {int(np.argmax(bad)) + 1} of {problem}")
+    return values
+
+
+def _underflows(powered: np.ndarray) -> bool:
+    """Whether ``x**(m-1)`` has an entry below the smallest normal float (or
+    NaN), where ratios over it have lost their digits: the one stopping rule
+    of the balancing sweep and the power iteration."""
+    return not np.minimum.reduce(powered) >= _TINY
 
 
 def contract(a: DenseTensor, x) -> np.ndarray:

@@ -18,14 +18,15 @@ and it also accepts the few spellings ``int``/``float`` take but ``loadtxt``
 does not (``1_0``, non-ASCII digits), with the same result.
 
 Traces are written as CSV with the header ``k,r,R,gap,mid``.  Both writers
-take a path or a text stream.
+open a path (or take a text stream) first, then stream the rows in chunks.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-from typing import IO, Union
+from itertools import islice
+from typing import IO, Iterator, Union
 
 import numpy as np
 
@@ -119,12 +120,10 @@ def read_tensor(source: PathOrFile) -> DenseTensor:
     :class:`ParseError` (with the line number) on malformed input.
     """
     if hasattr(source, "read"):
-        text = source.read()
+        lines = source.read().splitlines()
     else:
         with open(source, encoding="utf-8-sig") as handle:
-            text = handle.read()
-
-    lines = text.splitlines()
+            lines = handle.read().splitlines()
     order, dim = _parse_header(lines)
 
     try:
@@ -140,24 +139,25 @@ def write_tensor(tensor: DenseTensor, dest: PathOrFile) -> None:
 
     Values are rendered with ``repr`` so a read back is bit-identical.
     """
-    nonzero = np.nonzero(tensor.data)
     labels = [f"{i} " for i in range(1, tensor.dim + 1)]
-    columns = [[labels[i] for i in axis.tolist()] for axis in nonzero]
+    columns = [[labels[i] for i in axis.tolist()] for axis in np.nonzero(tensor.data)]
     # the flat gather is faster than data[nonzero]
     values = map(repr, tensor.entries[np.flatnonzero(tensor.entries)].tolist())
     rows = map("".join, zip(*columns, values))
-    _write_text("\n".join([f"{tensor.order} {tensor.dim}", *rows]) + "\n", dest)
+    _write_lines(f"{tensor.order} {tensor.dim}", rows, dest)
 
 
 def write_trace_csv(trace: list[TraceRow], dest: PathOrFile) -> None:
     """Write trace rows as CSV with header ``k,r,R,gap,mid`` (6 significant digits)."""
     rows = (f"{r.k},{r.lower:.6g},{r.upper:.6g},{r.gap:.6g},{r.midpoint:.6g}" for r in trace)
-    _write_text("\n".join(["k,r,R,gap,mid", *rows]) + "\n", dest)
+    _write_lines("k,r,R,gap,mid", rows, dest)
 
 
-def _write_text(text: str, dest: PathOrFile) -> None:
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
+def _write_lines(header: str, rows: Iterator[str], dest: PathOrFile) -> None:
+    """Write ``header``, then ``rows`` one per line, ``2**16`` rows per ``write``."""
+    if not hasattr(dest, "write"):
         with open(dest, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            return _write_lines(header, rows, handle)
+    dest.write(header + "\n")
+    while chunk := list(islice(rows, 2**16)):
+        dest.write("\n".join(chunk) + "\n")

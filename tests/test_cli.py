@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import specrad.cli
+import specrad.tensorfile
 from conftest import chain, golden_file_text
 from specrad import DenseTensor, SolverConfig, random_tensor, read_tensor, solve, write_tensor
 from specrad.cli import build_parser, main
@@ -217,6 +218,17 @@ class TestRandomCommand:
         main(["random", "--m", "2", "--n", "3", "--seed", "5", "--out", str(path)])
         main(["random", "--m", "2", "--n", "3", "--seed", "5"])
         assert capsys.readouterr().out == path.read_text()
+
+    def test_missing_out_directory_fails_before_rendering(self, tmp_path, monkeypatch, capsys):
+        rendered = []
+        monkeypatch.setattr(
+            specrad.tensorfile, "repr", lambda v: rendered.append(v) or repr(v), raising=False
+        )
+        path = tmp_path / "missing" / "x.txt"
+        assert main(["random", "--m", "3", "--n", "80", "--seed", "1", "--out", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not path.parent.exists()
+        assert rendered == []
 
     def test_cap_exceeded_exits_one(self, capsys):
         assert main(["random", "--m", "3", "--n", "10000", "--seed", "0"]) == 1

@@ -17,14 +17,15 @@ from specrad import (
     solve,
     step,
 )
-from specrad.oracles import collatz_wielandt_bounds
+from specrad.oracles import ORACLE_MAX_ITER, collatz_wielandt_bounds
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
 
 def power_iteration_two_contractions(a, tol=1e-9, max_iter=10_000):
     """Reference loop: contracts once for the next iterate and once more,
-    inside the bracket, at that iterate."""
+    inside the bracket, at that iterate; stops, as the solver does, once a
+    power of the iterate leaves the normal float range."""
     sums = row_sums(a)
     root = 1.0 / (a.order - 1)
     x = np.ones(a.dim)
@@ -34,7 +35,7 @@ def power_iteration_two_contractions(a, tol=1e-9, max_iter=10_000):
         nxt = contract(a, x) ** root
         nxt /= nxt.max()
         iterations += 1
-        if (nxt ** (a.order - 1) == 0).any():
+        if (nxt ** (a.order - 1) < np.finfo(float).tiny).any():
             return lower, upper, x, iterations, False
         lower, upper = collatz_wielandt_bounds(a, nxt)
         x = nxt
@@ -123,6 +124,19 @@ class TestPowerIteration:
         estimate = power_iteration(add_identity_shift(golden, 1.0), tol=1e-15, max_iter=3)
         assert estimate.iterations == 3
         assert not estimate.converged
+
+    def test_stops_where_the_solver_stops(self):
+        # row 1 holds only a[1,1,1], so its shifted ratio is 2.939 at every
+        # x, while row 0 drives x[1] towards zero; once x[1]**2 is subnormal
+        # that ratio loses its digits, so both iterations stop before
+        data = np.zeros((2, 2, 2))
+        data[0, 0, 0], data[1, 1, 1] = 5.0, 1.939
+        estimate = power_iteration(add_identity_shift(DenseTensor(data), 1.0))
+        report = solve(DenseTensor(data))
+        assert estimate.lower == report.lower == 2.939
+        assert estimate.upper == report.upper == 6.0
+        assert not estimate.converged and estimate.iterations < ORACLE_MAX_ITER
+        assert (estimate.vector**2).min() >= np.finfo(float).tiny
 
     @pytest.mark.parametrize("index", range(len(REFERENCE_INPUTS)))
     def test_matches_two_contraction_loop_bit_for_bit(self, index):

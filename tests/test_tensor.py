@@ -257,6 +257,19 @@ class TestContract:
             with pytest.raises(ValueError, match="row 1 of the contraction overflows"):
                 call()
 
+    @pytest.mark.filterwarnings("error")
+    def test_ratio_or_defect_outside_the_float_range_names_the_row(self):
+        # the contraction is finite, but x**(m-1) underflows (a 0/0 and a
+        # finite/0 ratio) or value * v**(m-1) overflows
+        ones = DenseTensor(np.ones((2, 2, 2)))
+        for call, problem in (
+            (lambda: collatz_wielandt_bounds(ones, [1e-200, 1e-200]), "ratio"),
+            (lambda: collatz_wielandt_bounds(ones, [1e-200, 1.0]), "ratio"),
+            (lambda: residual(DenseTensor([[1.0]]), 1e308, [2.0]), "defect"),
+        ):
+            with pytest.raises(ValueError, match=f"row 1 of the {problem} is not finite"):
+                call()
+
     @settings(max_examples=40, deadline=None)
     @given(shape=shapes, seed=seeds)
     def test_matches_scalar_loop_oracle(self, shape, seed):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specrad.tensorfile
 from conftest import golden_b, golden_file_text, sparse_tensor
 from specrad import DenseTensor, ParseError, random_tensor, read_tensor, row_sums, write_tensor
 from specrad.tensor import MAX_ORDER
@@ -153,6 +155,46 @@ def test_write_golden_is_byte_identical_to_the_golden_file():
     buffer = io.StringIO()
     write_tensor(golden_b(), buffer)
     assert buffer.getvalue() == golden_file_text()
+
+
+class RecordingStream(io.StringIO):
+    """Text stream that records the length of every ``write``."""
+
+    def __init__(self):
+        super().__init__()
+        self.lengths = []
+
+    def write(self, text):
+        self.lengths.append(len(text))
+        return super().write(text)
+
+
+def test_write_passes_the_text_in_bounded_chunks():
+    stream = RecordingStream()
+    write_tensor(random_tensor(3, 70, 1), stream)
+    text = stream.getvalue()
+    # the bytes the single-string writer produced
+    assert len(text) == 9_221_633
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "445be349a9a4739ea4e4f37eb2ca1537b08ac70a77fe7d832912e2273efc6634"
+    )
+    assert sum(stream.lengths) == len(text)
+    assert max(stream.lengths) <= len(text) // 4
+
+
+def test_write_opens_the_path_before_rendering_a_value(tmp_path, monkeypatch):
+    rendered = []
+    monkeypatch.setattr(
+        specrad.tensorfile, "repr", lambda v: rendered.append(v) or repr(v), raising=False
+    )
+    path = tmp_path / "missing" / "x.txt"
+    with pytest.raises(FileNotFoundError):
+        write_tensor(random_tensor(3, 20, 1), path)
+    assert not path.parent.exists()
+    assert rendered == []
+    # the spy is the one the writer calls
+    write_tensor(golden_b(), io.StringIO())
+    assert len(rendered) == 3
 
 
 def reference_write(tensor):
