@@ -339,6 +339,13 @@ PARSE_TEXTS = {
     "byte-order mark in a stream": "\ufeff" + GOLDEN_TEXT,
 }
 
+# characters ``str.splitlines`` breaks at that are whitespace inside a line
+SPLITLINES_ONLY = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+SEPARATOR_TEXTS = {
+    f"separator {c!r}": f"2 2\n1 1{c}1.0\n2 2 3.0\n" for c in SPLITLINES_ONLY
+}
+PARSE_TEXTS.update(SEPARATOR_TEXTS)
+
 # files read from a path, as bytes
 PATH_BYTES = {
     "golden": GOLDEN_TEXT.encode(),
@@ -347,6 +354,7 @@ PATH_BYTES = {
     "two byte-order marks": b"\xef\xbb\xbf" * 2 + GOLDEN_TEXT.encode(),
     "only a byte-order mark": b"\xef\xbb\xbf",
     "latin-1 byte": b"2 2\n1 1 1.5\xe9\n",
+    **{name: text.encode() for name, text in SEPARATOR_TEXTS.items()},
 }
 
 

@@ -1,4 +1,4 @@
-"""Plain-text tensor files and convergence-trace files.
+r"""Plain-text tensor files and convergence-trace files.
 
 Tensor format::
 
@@ -10,12 +10,19 @@ The header gives order and dimension; every following non-blank line sets
 one entry at a 1-based multi-index.  Omitted positions are zero and a
 repeated index tuple is a hard parse error (never last-one-wins).
 
-Reading parses the whole body in one ``np.loadtxt`` pass that only places
-the entries; :class:`DenseTensor` checks the values.  Any input rejected
-there (or that makes ``loadtxt`` warn) is parsed again line by line; that
-per-line pass is the only source of :class:`ParseError` and its line number,
-and it also accepts the few spellings ``int``/``float`` take but ``loadtxt``
-does not (``1_0``, non-ASCII digits), with the same result.
+Lines end at ``\n``, ``\r\n`` or ``\r`` only; any other character
+``str.splitlines`` would break at (``\x0b``, ``\x85``, ``\u2028``, ...) is
+whitespace inside a line.
+
+Reading goes through one text handle: an open path, or the text of a stream
+(or of a path that cannot seek, such as a pipe) in memory.  The header is
+its first line; ``np.loadtxt`` then takes the rest of the handle in one pass
+that only places the entries, and :class:`DenseTensor` checks the values.
+Any input rejected there (or that makes ``loadtxt`` warn) is read again from
+the start of the handle, line by line; that per-line pass is the only source
+of :class:`ParseError` and its line number, and it also accepts the few
+spellings ``int``/``float`` take but ``loadtxt`` does not (``1_0``,
+non-ASCII digits), with the same result.  No list of lines is kept.
 
 Traces are written as CSV with the header ``k,r,R,gap,mid``.  Both writers
 open a path (or take a text stream) first, then stream the rows in chunks.
@@ -23,6 +30,7 @@ open a path (or take a text stream) first, then stream the rows in chunks.
 
 from __future__ import annotations
 
+import io
 import os
 import warnings
 from itertools import islice
@@ -44,16 +52,19 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-def _parse_header(lines) -> tuple[int, int]:
-    if not lines:
+def _parse_header(handle: IO[str]) -> tuple[int, int]:
+    """The shape on the first line of ``handle``, which is left after it."""
+    line = handle.readline()
+    if not line:
         raise ParseError(1, "empty file, expected header 'm n'")
-    parts = lines[0].split()
+    line = line.removesuffix("\n")
+    parts = line.split()
     if len(parts) != 2:
-        raise ParseError(1, f"expected header 'm n' with two integers, got {lines[0]!r}")
+        raise ParseError(1, f"expected header 'm n' with two integers, got {line!r}")
     try:
         order, dim = int(parts[0]), int(parts[1])
     except ValueError:
-        raise ParseError(1, f"header fields must be integers, got {lines[0]!r}") from None
+        raise ParseError(1, f"header fields must be integers, got {line!r}") from None
     try:
         check_shape(order, dim)
     except ValueError as exc:
@@ -61,14 +72,14 @@ def _parse_header(lines) -> tuple[int, int]:
     return order, dim
 
 
-def _parse_bulk(lines: list[str], order: int, dim: int) -> np.ndarray:
-    """Entries of ``lines[1:]``, placed unchecked (:class:`DenseTensor` checks
-    the values); raises on a line ``loadtxt`` rejects or warns about, an index
-    outside ``1..dim`` or a repeated index tuple."""
+def _parse_bulk(handle: IO[str], order: int, dim: int) -> np.ndarray:
+    """Entries of the rest of ``handle``, placed unchecked (:class:`DenseTensor`
+    checks the values); raises on a line ``loadtxt`` rejects or warns about, an
+    index outside ``1..dim`` or a repeated index tuple."""
     fields = [(f"i{k}", np.int64) for k in range(order)] + [("value", np.float64)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        table = np.loadtxt(lines, dtype=fields, comments=None, skiprows=1, ndmin=1)
+        table = np.loadtxt(handle, dtype=fields, comments=None, ndmin=1)
     flat = np.ravel_multi_index(tuple(table[f"i{k}"] - 1 for k in range(order)), (dim,) * order)
     data = np.zeros((dim,) * order)
     seen = np.zeros(data.size, dtype=bool)
@@ -79,11 +90,12 @@ def _parse_bulk(lines: list[str], order: int, dim: int) -> np.ndarray:
     return data
 
 
-def _parse_lines(lines: list[str], order: int, dim: int) -> np.ndarray:
-    """Entries of ``lines[1:]``, checked one line at a time."""
+def _parse_lines(handle: IO[str], order: int, dim: int) -> np.ndarray:
+    """Entries of the rest of ``handle``, checked one line at a time."""
     data = np.zeros((dim,) * order)
     seen: set[tuple[int, ...]] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(handle, start=2):
+        line = line.removesuffix("\n")
         if not line.strip():
             continue
         parts = line.split()
@@ -120,18 +132,24 @@ def read_tensor(source: PathOrFile) -> DenseTensor:
     :class:`ParseError` (with the line number) on malformed input.
     """
     if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        with open(source, encoding="utf-8-sig") as handle:
-            lines = handle.read().splitlines()
-    order, dim = _parse_header(lines)
+        return _read_handle(io.StringIO(source.read(), newline=None))
+    with open(source, encoding="utf-8-sig") as handle:
+        if handle.seekable():
+            return _read_handle(handle)
+        return _read_handle(io.StringIO(handle.read(), newline=None))
 
+
+def _read_handle(handle: IO[str]) -> DenseTensor:
+    """Read a seekable handle with universal newlines, from its start."""
+    order, dim = _parse_header(handle)
     try:
-        return DenseTensor._own(_parse_bulk(lines, order, dim))
+        return DenseTensor._own(_parse_bulk(handle, order, dim))
     except (ValueError, OverflowError, Warning):
         pass
     # outside the handler, so a ParseError does not chain the bulk rejection
-    return DenseTensor._own(_parse_lines(lines, order, dim))
+    handle.seek(0)
+    handle.readline()
+    return DenseTensor._own(_parse_lines(handle, order, dim))
 
 
 def write_tensor(tensor: DenseTensor, dest: PathOrFile) -> None:
@@ -139,12 +157,20 @@ def write_tensor(tensor: DenseTensor, dest: PathOrFile) -> None:
 
     Values are rendered with ``repr`` so a read back is bit-identical.
     """
+    _write_lines(f"{tensor.order} {tensor.dim}", _entry_rows(tensor), dest)
+
+
+def _entry_rows(tensor: DenseTensor) -> Iterator[str]:
+    """The entry lines, rendered ``2**16`` nonzero entries at a time."""
     labels = [f"{i} " for i in range(1, tensor.dim + 1)]
-    columns = [[labels[i] for i in axis.tolist()] for axis in np.nonzero(tensor.data)]
-    # the flat gather is faster than data[nonzero]
-    values = map(repr, tensor.entries[np.flatnonzero(tensor.entries)].tolist())
-    rows = map("".join, zip(*columns, values))
-    _write_lines(f"{tensor.order} {tensor.dim}", rows, dest)
+    flat = np.flatnonzero(tensor.entries)
+    for start in range(0, flat.size, 2**16):
+        chunk = flat[start : start + 2**16]
+        index = np.unravel_index(chunk, tensor.data.shape)
+        columns = [[labels[i] for i in axis.tolist()] for axis in index]
+        # the flat gather is faster than data[index]
+        values = map(repr, tensor.entries[chunk].tolist())
+        yield from map("".join, zip(*columns, values))
 
 
 def write_trace_csv(trace: list[TraceRow], dest: PathOrFile) -> None:

@@ -1,5 +1,8 @@
 import hashlib
 import io
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +14,9 @@ from conftest import golden_b, golden_file_text, sparse_tensor
 from specrad import DenseTensor, ParseError, random_tensor, read_tensor, row_sums, write_tensor
 from specrad.tensor import MAX_ORDER
 from specrad.tensorfile import _parse_bulk, _parse_header, _parse_lines
+
+# characters ``str.splitlines`` breaks at that are whitespace inside a line
+SPLITLINES_ONLY = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 def roundtrip(tensor):
@@ -113,6 +119,102 @@ def test_entry_line_errors_name_the_line():
         read_tensor(io.StringIO("2 2\n1 1 inf\n"))
 
 
+HEADER_MESSAGES = {
+    "": "line 1: empty file, expected header 'm n'",
+    "\n": "line 1: expected header 'm n' with two integers, got ''",
+    "3\n": "line 1: expected header 'm n' with two integers, got '3'",
+    "3\r\n1 1 1.0\r\n": "line 1: expected header 'm n' with two integers, got '3'",
+    "2 2 2\r": "line 1: expected header 'm n' with two integers, got '2 2 2'",
+    "a b\n1 1 1.0\n": "line 1: header fields must be integers, got 'a b'",
+    "\ufeff2 2\n": "line 1: header fields must be integers, got '\\ufeff2 2'",
+}
+
+
+@pytest.mark.parametrize("text, message", HEADER_MESSAGES.items())
+def test_header_messages_quote_the_line_without_its_terminator(text, message, tmp_path):
+    with pytest.raises(ParseError) as from_stream:
+        read_tensor(io.StringIO(text))
+    assert str(from_stream.value) == message
+    path = tmp_path / "t.txt"
+    # a path drops one leading byte-order mark
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    with pytest.raises(ParseError) as from_path:
+        read_tensor(path)
+    assert str(from_path.value) == message
+
+
+def test_a_marked_path_falls_back_to_the_per_line_pass(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes("\ufeff2 2\n1 1 1.5\n1 1 2.5\n".encode())
+    with pytest.raises(ParseError) as info:
+        read_tensor(path)
+    assert str(info.value) == "line 3: duplicate index tuple (1, 1)"
+    path.write_bytes("\ufeff2 2\r\n1 1 1.5\r\n2 2 1_0\r\n".encode())
+    assert read_tensor(path) == DenseTensor([[1.5, 0.0], [0.0, 10.0]])
+
+
+class OneWayStream(io.StringIO):
+    """Text stream that cannot seek, as a socket or a pipe reader."""
+
+    def seekable(self):
+        return False
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+
+def test_a_stream_that_cannot_seek_falls_back_to_the_per_line_pass():
+    with pytest.raises(ParseError) as info:
+        read_tensor(OneWayStream("2 2\r\n1 1 1.5\r\n1 x 2.5\r\n"))
+    assert str(info.value) == "line 3: indices must be integers: '1 x 2.5'"
+    assert read_tensor(OneWayStream("2 12\n1_0 1 1.5\n")).data[9, 0] == 1.5
+
+
+def read_or_message(source):
+    """The tensor read from ``source``, or the text of its :class:`ParseError`."""
+    try:
+        return read_tensor(source)
+    except ParseError as exc:
+        return str(exc)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("2 2\n1 1 1.5\n2 2 2.5\n", DenseTensor([[1.5, 0.0], [0.0, 2.5]])),
+        ("2 2\n1 1 1.5\n2 1 2.5\n1 1 3.5\n", "line 4: duplicate index tuple (1, 1)"),
+    ],
+)
+def test_a_named_pipe_is_read_once(text, expected, tmp_path):
+    path = tmp_path / "pipe"
+    os.mkfifo(path)
+
+    def feed():
+        with open(path, "w") as pipe:
+            pipe.write(text)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    assert read_or_message(path) == expected
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("c", SPLITLINES_ONLY)
+def test_only_cr_and_lf_end_a_line(c, tmp_path):
+    path = tmp_path / "t.txt"
+    for text, expected in (
+        (f"2 2\n1 1{c}1.0\n2 2 3.0\n", DenseTensor([[1.0, 0.0], [0.0, 3.0]])),
+        # a break after the value would have moved the duplicate to line 4
+        (f"2 2\n1 1 1.0{c}\n1 1 2.0\n", "line 3: duplicate index tuple (1, 1)"),
+        (f"2 2\n1 1 1.0{c}2 2 3.0\n", "line 2: expected 2 indices and a value, got 6 fields"),
+    ):
+        path.write_text(text, encoding="utf-8")
+        assert read_or_message(io.StringIO(text)) == expected
+        assert read_or_message(path) == expected
+
+
 def test_header_cap():
     with pytest.raises(ParseError, match="cap"):
         read_tensor(io.StringIO("3 100000\n"))
@@ -137,7 +239,9 @@ def test_roundtrip_at_the_array_rank_limit():
     write_tensor(t, buffer)
     text = buffer.getvalue()
     assert read_tensor(io.StringIO(text)) == t
-    assert np.array_equal(_parse_lines(text.splitlines(), MAX_ORDER, 1), t.data)
+    handle = io.StringIO(text)
+    assert _parse_header(handle) == (MAX_ORDER, 1)
+    assert np.array_equal(_parse_lines(handle, MAX_ORDER, 1), t.data)
 
 
 def test_write_lists_nonzero_entries_one_based(tmp_path):
@@ -197,6 +301,41 @@ def test_write_opens_the_path_before_rendering_a_value(tmp_path, monkeypatch):
     assert len(rendered) == 3
 
 
+@pytest.fixture(scope="module")
+def large_file(tmp_path_factory):
+    """The ``(70,3)`` tensor and its 9.2 MB file."""
+    t = random_tensor(3, 70, 1)
+    path = tmp_path_factory.mktemp("large") / "t.txt"
+    write_tensor(t, path)
+    return t, path
+
+
+def traced_peak(call):
+    """``call()`` and the peak bytes ``tracemalloc`` saw allocated during it."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reading_a_path_holds_no_copy_of_the_lines(large_file):
+    t, path = large_file
+    back, peak = traced_peak(lambda: read_tensor(path))
+    assert back == t
+    # a list of the lines alone took 3.1 times the file's bytes
+    assert peak < 3.5 * path.stat().st_size
+
+
+def test_writing_renders_the_entries_in_bounded_chunks(large_file, tmp_path):
+    t, path = large_file
+    out = tmp_path / "t.txt"
+    _, peak = traced_peak(lambda: write_tensor(t, out))
+    assert out.read_bytes() == path.read_bytes()
+    # rendering every label and value before the first row took 3.3 times
+    assert peak < 2.5 * out.stat().st_size
+
+
 def reference_write(tensor):
     """One line per nonzero entry, built by scalar loops."""
     lines = [f"{tensor.order} {tensor.dim}"]
@@ -224,9 +363,9 @@ def test_sparse_roundtrip_matches_reference_writer(shape, seed, density):
 
 def per_line_read(text):
     """The per-line pass alone, as ``read_tensor`` falls back to it."""
-    lines = text.splitlines()
-    order, dim = _parse_header(lines)
-    return DenseTensor(_parse_lines(lines, order, dim))
+    handle = io.StringIO(text, newline=None)
+    order, dim = _parse_header(handle)
+    return DenseTensor(_parse_lines(handle, order, dim))
 
 
 def outcome(reader, text):
@@ -257,6 +396,9 @@ PARITY_CASES = {
     "negative index": "2 2\n-1 1 1.5\n",
     "index past the dimension": "2 2\n1 3 1.5\n",
 }
+PARITY_CASES.update(
+    {f"separator {c!r}": f"2 2\n1 1{c}1.0\n2 2 3.0\n" for c in SPLITLINES_ONLY}
+)
 
 
 @pytest.mark.parametrize("text", PARITY_CASES.values(), ids=PARITY_CASES.keys())
@@ -266,10 +408,11 @@ def test_bulk_parse_matches_per_line_parse(text):
 
 def test_bulk_pass_hands_odd_input_to_the_per_line_pass():
     def fast(text):
-        lines = text.splitlines()
-        return DenseTensor._own(_parse_bulk(lines, *_parse_header(lines)))
+        handle = io.StringIO(text, newline=None)
+        return DenseTensor._own(_parse_bulk(handle, *_parse_header(handle)))
 
-    for name in ("plus sign", "negative zero", "crlf", "tabs", "blank lines"):
+    separators = [f"separator {c!r}" for c in SPLITLINES_ONLY]
+    for name in ("plus sign", "negative zero", "crlf", "tabs", "blank lines", *separators):
         text = PARITY_CASES[name]
         assert fast(text).data.tobytes() == per_line_read(text).data.tobytes(), name
     for name in ("underscore index", "full-width digit", "float index", "nan value",
@@ -282,7 +425,7 @@ def test_bulk_pass_hands_odd_input_to_the_per_line_pass():
 
 ODD_INDICES = ["0", "-1", "+1", "1_0", "\uff12", "1.0", "1e0", str(2**64), "x"]
 ODD_VALUES = ["-0.0", "5e-324", "1_0.5", "0x1p3", "nan", "inf", "-Infinity", "-3", "1e400", "abc"]
-ODD_LINES = ["", "   ", "# note", "1", "1 1 1 1 1 1"]
+ODD_LINES = ["", "   ", "# note", "1", "1 1 1 1 1 1", *SPLITLINES_ONLY]
 
 
 @st.composite
@@ -292,7 +435,7 @@ def tensor_texts(draw):
     small dimensions."""
     order = draw(st.sampled_from([2, 3]))
     dim = draw(st.integers(min_value=1, max_value=3))
-    sep = draw(st.sampled_from([" ", "\t", "  "]))
+    sep = draw(st.sampled_from([" ", "\t", "  ", *SPLITLINES_ONLY]))
     lines = [f"{order} {dim}"]
     for _ in range(draw(st.integers(min_value=0, max_value=6))):
         fields = [str(draw(st.integers(min_value=1, max_value=dim))) for _ in range(order)]
@@ -304,7 +447,7 @@ def tensor_texts(draw):
         elif spoil == "value":
             fields[-1] = draw(st.sampled_from(ODD_VALUES))
         lines.append(draw(st.sampled_from(ODD_LINES)) if spoil == "line" else sep.join(fields))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
