@@ -18,7 +18,7 @@ import numpy as np
 
 from .tensor import (
     DenseTensor, _check_finite, _check_start_sums, _check_vector, _checked_contract, _contract,
-    _underflows, row_sums,
+    _extremes, _underflows, row_sums,
 )
 
 ORACLE_TOL = 1e-9
@@ -91,9 +91,8 @@ def power_iteration(
     rows, m = a._rows, a.order
     x = np.ones(a.dim)
     y = row_sums(a)
-    _check_start_sums(y, "the tensor", "power iteration needs positive rows")
+    lower, upper = _check_start_sums(y, "the tensor", "power iteration needs positive rows")
     root = 1.0 / (m - 1)
-    lower, upper = float(np.minimum.reduce(y)), float(np.maximum.reduce(y))
     iterations, anchor, anchor_at = 0, None, 0
     while upper - lower > tol and iterations < max_iter:
         key = y.tobytes()
@@ -106,7 +105,7 @@ def power_iteration(
         if iterations & (iterations - 1) == 0:
             anchor, anchor_at = key, iterations
         nxt = y**root
-        nxt /= np.maximum.reduce(nxt)
+        nxt /= _extremes(nxt)[1]
         iterations += 1
         powered = nxt ** (m - 1)
         # y holds no NaN and some finite entry here (else the gap was NaN),
@@ -116,7 +115,7 @@ def power_iteration(
             return OracleEstimate(lower, upper, x, iterations, converged=False)
         y = _contract(rows, nxt, m)
         ratios = y / powered
-        x, lower, upper = nxt, float(np.minimum.reduce(ratios)), float(np.maximum.reduce(ratios))
+        x, (lower, upper) = nxt, _extremes(ratios)
     # the ratio at the iterate's unit entry is that entry of y, so the gap
     # is NaN only after a non-finite contraction
     if np.isnan(upper - lower):

@@ -40,12 +40,14 @@ import numpy as np
 
 from .tensor import (
     DenseTensor, _check_finite, _check_start_sums, _check_vector, _checked_contract, _contract,
-    _rescaled_rows, _underflows, row_sums,
+    _extremes, _rescaled_rows, _underflows, row_sums,
 )
 
 DEFAULT_ALPHA = 1.0
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 100
+
+_ZERO_HINT = "use a positive alpha or remove zero rows"
 
 
 def _midpoint(lower: float, upper: float) -> float:
@@ -158,13 +160,11 @@ class SolveReport:
         return self.upper - self.lower
 
 
-def _state_from(tensor, alpha, x, sums, k) -> IterationState:
-    return IterationState(tensor, alpha, x, sums, *_bracket(sums), k)
-
-
 def _bracket(sums: np.ndarray) -> tuple[float, float]:
-    """``(upper, lower)``: the extremes of the row sums."""
-    return float(np.maximum.reduce(sums)), float(np.minimum.reduce(sums))
+    """``(upper, lower)``: the extremes of the row sums, as Python floats
+    from :func:`~specrad.tensor._extremes`, so a NaN row sum makes both NaN."""
+    lower, upper = _extremes(sums)
+    return upper, lower
 
 
 def init_state(b: DenseTensor, config: SolverConfig) -> IterationState:
@@ -177,8 +177,8 @@ def init_state(b: DenseTensor, config: SolverConfig) -> IterationState:
     positive and finite.
     """
     sums = row_sums(b) + config.alpha
-    _check_start_sums(sums, "the shifted tensor", "use a positive alpha or remove zero rows")
-    return _state_from(b, config.alpha, np.ones(b.dim), sums, 0)
+    lower, upper = _check_start_sums(sums, "the shifted tensor", _ZERO_HINT)
+    return IterationState(b, config.alpha, np.ones(b.dim), sums, upper, lower, 0)
 
 
 def _balance(rows, m, alpha, x, sums, upper) -> tuple[np.ndarray, np.ndarray]:
@@ -188,16 +188,24 @@ def _balance(rows, m, alpha, x, sums, upper) -> tuple[np.ndarray, np.ndarray]:
     and ``m`` its order.  Works on arrays and floats only, so :func:`solve`
     runs it without building a state per sweep.
     """
-    x = x * (sums / upper) ** (1.0 / (m - 1))
-    top = np.maximum.reduce(x)
-    if top ** (m - 1) < 2.0**-511:
+    # in place on arrays made here, so the sweep allocates no temporaries
+    ratio = sums / upper
+    ratio **= 1.0 / (m - 1)
+    ratio *= x
+    x = ratio
+    top = _extremes(x)[1]
+    # top < 1 first, so the power of a Python float cannot overflow
+    if top < 1.0 and top ** (m - 1) < 2.0**-511:
         # a slow run shrinks every entry halfway to underflow; an exact
         # power-of-two rescale changes no ratio
-        x = np.ldexp(x, -np.frexp(top)[1])
+        x = np.ldexp(x, -math.frexp(top)[1])
     powered = x ** (m - 1)
     if _underflows(powered):
         raise FloatingPointError("the (m-1)-th power of the scaling underflowed")
-    return x, _contract(rows, x, m) / powered + alpha
+    new_sums = _contract(rows, x, m)
+    new_sums /= powered
+    new_sums += alpha
+    return x, new_sums
 
 
 def step(state: IterationState) -> IterationState:
@@ -212,7 +220,7 @@ def step(state: IterationState) -> IterationState:
     """
     b = state.tensor
     x, sums = _balance(b._rows, b.order, state.alpha, state.x, state.sums, state.upper)
-    return _state_from(b, state.alpha, x, sums, state.k + 1)
+    return IterationState(b, state.alpha, x, sums, *_bracket(sums), state.k + 1)
 
 
 def residual(a: DenseTensor, value: float, vector) -> float:
@@ -277,9 +285,11 @@ def solve(b: DenseTensor, config: SolverConfig | None = None) -> SolveReport:
     of ``(rho, eigenvector)`` on ``b`` itself up to rounding.
     """
     cfg = config if config is not None else SolverConfig()
-    start = init_state(b, cfg)
     rows, m, alpha, tol, max_iter = b._rows, b.order, cfg.alpha, cfg.tol, cfg.max_iter
-    x, sums, upper, lower, k = start.x, start.sums, start.upper, start.lower, 0
+    # init_state's start, without building a state only to unpack it
+    sums = row_sums(b) + alpha
+    lower, upper = _check_start_sums(sums, "the shifted tensor", _ZERO_HINT)
+    x, k = np.ones(b.dim), 0
     trace = [TraceRow(1, lower, upper)] if cfg.trace else []
     while upper - lower > tol and k < max_iter:
         try:
@@ -291,7 +301,9 @@ def solve(b: DenseTensor, config: SolverConfig | None = None) -> SolveReport:
         if cfg.trace:
             trace.append(TraceRow(k + 1, lower, upper))
     rho_shifted = _midpoint(lower, upper)
-    defect = (sums - rho_shifted) * x ** (m - 1)
+    defect = sums - rho_shifted
+    defect *= x ** (m - 1)
+    np.abs(defect, out=defect)
     return SolveReport(
         rho=rho_shifted - alpha,
         eigenvector=x,
@@ -299,7 +311,7 @@ def solve(b: DenseTensor, config: SolverConfig | None = None) -> SolveReport:
         iterations=k,
         lower=lower,
         upper=upper,
-        residual=float(np.max(np.abs(defect))),
+        residual=_extremes(defect)[1],
         trace=trace,
     )
 

@@ -53,8 +53,7 @@ def _is_reducing(b: DenseTensor, inside: tuple[int, ...]) -> bool:
     outside = sorted(set(range(b.dim)).difference(inside))
     if not inside or not outside:
         return False
-    pick = np.ix_(*([outside] * (b.order - 1)))
-    return all(not np.any(b.data[i][pick]) for i in inside)
+    return not b.data[np.ix_(inside, *([outside] * (b.order - 1)))].any()
 
 
 def _reached(b: DenseTensor) -> np.ndarray:
@@ -72,12 +71,14 @@ def _reached(b: DenseTensor) -> np.ndarray:
     live = np.flatnonzero(positive.any(axis=0))
     feeds = positive[:, live].astype(np.float32)
     reached = np.eye(b.dim, dtype=bool)
-    while not reached.all():
-        inside = _kron_weights(reached, m, np.logical_and)[live]
-        grown = reached | (feeds @ inside.astype(np.float32) > 0)
-        if np.array_equal(grown, reached):
+    # reached only grows, so a round that leaves its count of marks is the last
+    marks = b.dim
+    while marks < reached.size:
+        inside = _kron_weights(reached, m, np.logical_and).take(live, axis=0)
+        reached |= feeds @ inside.astype(np.float32) > 0
+        if np.count_nonzero(reached) == marks:
             break
-        reached = grown
+        marks = np.count_nonzero(reached)
     return reached.T
 
 
@@ -98,10 +99,12 @@ def irreducible_iterative(b: DenseTensor) -> IrreducibilityVerdict:
     lexicographically smallest such complement is returned, and re-verified
     before return).
     """
-    witnesses = [tuple(np.flatnonzero(~row).tolist()) for row in _reached(b) if not row.all()]
-    if not witnesses:
+    reached = _reached(b)
+    if reached.all():
         return IrreducibilityVerdict(irreducible=True)
-    witness = min(witnesses)
+    witness = min(
+        tuple([i for i, hit in enumerate(row) if not hit]) for row in reached.tolist() if not all(row)
+    )
     if not _is_reducing(b, witness):
         raise AssertionError(f"internal error: unsound witness {witness}")
     return IrreducibilityVerdict(

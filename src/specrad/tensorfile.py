@@ -80,7 +80,10 @@ def _parse_bulk(handle: IO[str], order: int, dim: int) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         table = np.loadtxt(handle, dtype=fields, comments=None, ndmin=1)
-    flat = np.ravel_multi_index(tuple(table[f"i{k}"] - 1 for k in range(order)), (dim,) * order)
+    index = tuple(table[f"i{k}"] for k in range(order))
+    for column in index:
+        column -= 1  # in place: a shifted copy per axis would double the table
+    flat = np.ravel_multi_index(index, (dim,) * order)
     data = np.zeros((dim,) * order)
     seen = np.zeros(data.size, dtype=bool)
     seen[flat] = True

@@ -210,6 +210,26 @@ class TestPowerIteration:
         with pytest.raises(ValueError, match="non-finite iterate"):
             power_iteration(add_identity_shift(golden, 1.0), max_iter=max_iter)
 
+    @pytest.mark.parametrize("max_iter", [1, 10_000])
+    def test_nan_in_one_row_of_the_contraction_raises(self, golden, monkeypatch, max_iter):
+        # builtin min and max skip a NaN that is not the first entry; the
+        # bracket must still turn NaN, as numpy's reductions make it
+        contract_rows = specrad.oracles._contract
+
+        def nan_in_row_2(rows, x, order):
+            y = contract_rows(rows, x, order)
+            y[1] = np.nan
+            return y
+
+        monkeypatch.setattr(specrad.oracles, "_contract", nan_in_row_2)
+        with pytest.raises(ValueError, match="non-finite iterate"):
+            power_iteration(add_identity_shift(golden, 1.0), max_iter=max_iter)
+
+    def test_estimate_bounds_are_python_floats(self, golden):
+        for max_iter in (0, 1, ORACLE_MAX_ITER):
+            estimate = power_iteration(add_identity_shift(golden, 1.0), max_iter=max_iter)
+            assert type(estimate.lower) is float and type(estimate.upper) is float
+
     @settings(max_examples=10, deadline=None)
     @given(seed=seeds)
     def test_bracket_contains_solver_result(self, seed):

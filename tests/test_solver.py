@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import tracemalloc
 
@@ -108,6 +109,14 @@ class TestStep:
         assert after.x == pytest.approx(state.x, rel=1e-12)
         assert after.lower == pytest.approx(after.upper, rel=1e-12)
 
+    def test_scaling_far_above_one_is_not_a_python_overflow(self):
+        # the rescale test takes a Python-float power of the largest scaling
+        # entry, which would raise OverflowError where numpy gives inf
+        state = dataclasses.replace(init_state(golden_b(), SolverConfig()), x=np.full(3, 1e200))
+        with np.errstate(all="ignore"):
+            after = step(state)
+        assert np.isnan(after.upper) and np.isnan(after.lower)
+
     def test_sums_always_recomputable(self):
         state = init_state(golden_b(), SolverConfig())
         for _ in range(5):
@@ -196,6 +205,33 @@ class TestSolveGeneral:
         assert report.converged
         assert report.rho == report.rho_shifted == report.trace[0].midpoint == 9e307
         assert report.residual == 0.0
+
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_nan_in_one_row_sum_gives_a_nan_bracket(self, golden, monkeypatch, row):
+        # builtin min and max skip a NaN that is not the first entry; the
+        # bracket must still turn NaN, and the run stop unconverged
+        contract_rows = specrad.solver._contract
+
+        def nan_in_row(rows, x, order):
+            y = contract_rows(rows, x, order)
+            y[row] = np.nan
+            return y
+
+        monkeypatch.setattr(specrad.solver, "_contract", nan_in_row)
+        report = solve(golden)
+        assert np.isnan(report.lower) and np.isnan(report.upper) and np.isnan(report.rho)
+        assert np.isnan(report.residual)
+        assert not report.converged and report.iterations == 1
+
+    def test_report_and_state_bounds_are_python_floats(self, golden):
+        for cfg in (SolverConfig(), SolverConfig(alpha=0.0, max_iter=5000)):
+            report = solve(golden, cfg)
+            assert all(type(v) is float for v in (report.lower, report.upper, report.residual))
+            assert all(type(row.lower) is float for row in report.trace)
+        state = init_state(golden, SolverConfig())
+        for _ in range(3):
+            assert type(state.upper) is float and type(state.lower) is float
+            state = step(state)
 
     def test_trace_can_be_disabled(self, golden):
         report = solve(golden, SolverConfig(trace=False))

@@ -30,6 +30,7 @@ from specrad.solver import residual
 from specrad.tensor import (
     MAX_DENSE_ENTRIES,
     MAX_ORDER,
+    _extremes,
     _kron_weights,
     check_shape,
     diagonal_similarity,
@@ -337,6 +338,28 @@ class TestKronWeights:
             for _ in range(order - 2):
                 w = (x[:, None] * w).reshape(-1)
             assert _kron_weights(x, order).tobytes() == w.tobytes()
+
+
+class TestExtremes:
+    @pytest.mark.parametrize("values", [[2.0, 0.5, 7.0], [0.0, np.inf, 3.0], [4.0], [1e-320, 1.0]])
+    def test_python_floats_equal_to_the_numpy_reductions(self, values):
+        v = np.array(values)
+        lower, upper = _extremes(v)
+        assert type(lower) is float and type(upper) is float
+        assert (lower, upper) == (np.minimum.reduce(v), np.maximum.reduce(v))
+
+    @pytest.mark.parametrize("at", [0, 1, 3], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("others", [[1.0, 2.0, 3.0], [0.0, np.inf, 5.0]], ids=["finite", "inf"])
+    def test_nan_anywhere_makes_both_nan(self, at, others):
+        v = np.array(others[:at] + [np.nan] + others[at:])
+        assert np.isnan(np.minimum.reduce(v)) and np.isnan(np.maximum.reduce(v))
+        lower, upper = _extremes(v)
+        assert type(lower) is float and type(upper) is float
+        assert np.isnan(lower) and np.isnan(upper)
+
+    def test_one_nan_entry(self):
+        lower, upper = _extremes(np.array([np.nan]))
+        assert np.isnan(lower) and np.isnan(upper)
 
 
 class TestRowSums:
