@@ -19,11 +19,11 @@ over the entries: the initial row sums come from validation, the reported
 eigenvector is the scaling the last sweep contracted at, and its residual is
 computed from that sweep's row sums.
 
-One kernel, :func:`_balance`, performs every sweep.  It works on arrays and
-floats, and :func:`solve` runs it on plain locals, so the frozen dataclasses
-are built only at the public boundary: :func:`init_state` and :func:`step`
-return an :class:`IterationState`, and a traced run keeps one
-:class:`TraceRow` per sweep.
+One kernel, :func:`_balance`, performs every sweep and takes its bracket.
+It works on arrays and floats, and :func:`solve` runs it on plain locals:
+a solve builds exactly one :class:`IterationState`, its start from
+:func:`init_state`, and none per sweep.  :func:`step` returns a state per
+sweep, and a traced run keeps one :class:`TraceRow` per sweep.
 
 Iteration counters: state ``k`` counts balancing sweeps performed, while
 trace rows are numbered from 1 (row 1 holds the initial, unbalanced row-sum
@@ -46,9 +46,6 @@ from .tensor import (
 DEFAULT_ALPHA = 1.0
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 100
-
-_ZERO_HINT = "use a positive alpha or remove zero rows"
-
 
 def _midpoint(lower: float, upper: float) -> float:
     """Midpoint of ``[lower, upper]``, finite up to the largest float (where
@@ -160,13 +157,6 @@ class SolveReport:
         return self.upper - self.lower
 
 
-def _bracket(sums: np.ndarray) -> tuple[float, float]:
-    """``(upper, lower)``: the extremes of the row sums, as Python floats
-    from :func:`~specrad.tensor._extremes`, so a NaN row sum makes both NaN."""
-    lower, upper = _extremes(sums)
-    return upper, lower
-
-
 def init_state(b: DenseTensor, config: SolverConfig) -> IterationState:
     """Take the initial row-sum bracket of ``b`` shifted by ``config.alpha``.
 
@@ -177,16 +167,17 @@ def init_state(b: DenseTensor, config: SolverConfig) -> IterationState:
     positive and finite.
     """
     sums = row_sums(b) + config.alpha
-    lower, upper = _check_start_sums(sums, "the shifted tensor", _ZERO_HINT)
+    lower, upper = _check_start_sums(sums, "the shifted tensor", "use a positive alpha or remove zero rows")
     return IterationState(b, config.alpha, np.ones(b.dim), sums, upper, lower, 0)
 
 
-def _balance(rows, m, alpha, x, sums, upper) -> tuple[np.ndarray, np.ndarray]:
-    """Scaling after one more sweep from ``(x, sums, upper)`` and its row sums.
+def _balance(rows, m, alpha, x, sums, upper) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """One more sweep from ``(x, sums, upper)``: the new ``(x, sums, lower, upper)``.
 
-    The one iteration kernel: ``rows`` is the input's row view (``_rows``)
-    and ``m`` its order.  Works on arrays and floats only, so :func:`solve`
-    runs it without building a state per sweep.
+    The one iteration kernel, on the input's row view ``rows`` (``_rows``)
+    and order ``m``.  The bracket is Python floats from ``_extremes``, so a
+    NaN row sum makes both NaN.  Arrays and floats only: :func:`solve`
+    builds no state per sweep, only its start.
     """
     # in place on arrays made here, so the sweep allocates no temporaries
     ratio = sums / upper
@@ -205,7 +196,7 @@ def _balance(rows, m, alpha, x, sums, upper) -> tuple[np.ndarray, np.ndarray]:
     new_sums = _contract(rows, x, m)
     new_sums /= powered
     new_sums += alpha
-    return x, new_sums
+    return x, new_sums, *_extremes(new_sums)
 
 
 def step(state: IterationState) -> IterationState:
@@ -219,8 +210,8 @@ def step(state: IterationState) -> IterationState:
     normal range, where the row sums would lose their digits.
     """
     b = state.tensor
-    x, sums = _balance(b._rows, b.order, state.alpha, state.x, state.sums, state.upper)
-    return IterationState(b, state.alpha, x, sums, *_bracket(sums), state.k + 1)
+    x, sums, lower, upper = _balance(b._rows, b.order, state.alpha, state.x, state.sums, state.upper)
+    return IterationState(b, state.alpha, x, sums, upper, lower, state.k + 1)
 
 
 def residual(a: DenseTensor, value: float, vector) -> float:
@@ -244,16 +235,17 @@ def contraction_factor(state: IterationState) -> float:
     the index tuples where row ``s`` carries at least the normalized weight
     of row ``t``, the factor is one minus the complementary mass
     ``(sum of a[s, tau] off J + sum of a[t, tau] on J) / upper``, with ``a``
-    the balanced shifted tensor.  Undefined (raises) when the row sums are
-    already constant.  Rows ``s`` and ``t`` come from the helper behind
-    ``diagonal_similarity(tensor, x)``, applied to those two rows only; the
-    shift then adds ``alpha`` at each row's own superdiagonal position,
-    whose rescaled weight is exactly 1.
+    the balanced shifted tensor.  Raises ``ValueError`` when the row sums are
+    already constant, and ``FloatingPointError`` where :func:`step` does
+    (once ``x**(m-1)`` underflows).  Rows ``s`` and ``t`` come from the
+    helper behind ``diagonal_similarity(tensor, x)``, applied to those two
+    rows only; the shift then adds ``alpha`` at each row's own superdiagonal
+    position, whose rescaled weight is exactly 1.
     """
     if not state.upper > state.lower:
         raise ValueError("row sums are constant; contraction factor is undefined")
     m, n, sums = state.tensor.order, state.tensor.dim, state.sums
-    _, next_sums = _balance(state.tensor._rows, m, state.alpha, state.x, sums, state.upper)
+    next_sums = _balance(state.tensor._rows, m, state.alpha, state.x, sums, state.upper)[1]
     s = int(np.argmax(next_sums))
     t = int(np.argmin(next_sums))
     row_s, row_t = _rescaled_rows(state.tensor, state.x, [s, t])
@@ -275,28 +267,26 @@ def solve(b: DenseTensor, config: SolverConfig | None = None) -> SolveReport:
     reducible input can also drive a scaling entry towards zero; once its
     ``(m-1)``-th power underflows the run stops early, unconverged, with
     the last bracket it could certify.
-    ``b`` is read in place: no shifted copy is built, and a run reads its
-    entries exactly once per sweep (the initial row sums were taken when
-    ``b`` was validated).  The eigenvector is the last state's ``x``, the
-    scaling the last sweep contracted at (after an underflow stop, the last
-    one the guard accepted).  The residual comes from that sweep's row sums:
+    ``b`` is read in place: no shifted copy is built, the only
+    :class:`IterationState` is the start from :func:`init_state`, and a run
+    reads the entries once per sweep (the initial row sums were taken when
+    ``b`` was validated).  The eigenvector is the last ``x``, the scaling
+    the last sweep contracted at (after an underflow stop, the last one the
+    guard accepted).  The residual comes from that sweep's row sums:
     ``max_i |sums[i] - rho_shifted| * x[i]**(m-1)``, the defect of
     ``(rho_shifted, eigenvector)`` on the shifted tensor, which equals that
     of ``(rho, eigenvector)`` on ``b`` itself up to rounding.
     """
     cfg = config if config is not None else SolverConfig()
     rows, m, alpha, tol, max_iter = b._rows, b.order, cfg.alpha, cfg.tol, cfg.max_iter
-    # init_state's start, without building a state only to unpack it
-    sums = row_sums(b) + alpha
-    lower, upper = _check_start_sums(sums, "the shifted tensor", _ZERO_HINT)
-    x, k = np.ones(b.dim), 0
+    start = init_state(b, cfg)
+    x, sums, lower, upper, k = start.x, start.sums, start.lower, start.upper, 0
     trace = [TraceRow(1, lower, upper)] if cfg.trace else []
     while upper - lower > tol and k < max_iter:
         try:
-            x, sums = _balance(rows, m, alpha, x, sums, upper)
+            x, sums, lower, upper = _balance(rows, m, alpha, x, sums, upper)
         except FloatingPointError:
             break
-        upper, lower = _bracket(sums)
         k += 1
         if cfg.trace:
             trace.append(TraceRow(k + 1, lower, upper))

@@ -137,9 +137,7 @@ def read_tensor(source: PathOrFile) -> DenseTensor:
     if hasattr(source, "read"):
         return _read_handle(io.StringIO(source.read(), newline=None))
     with open(source, encoding="utf-8-sig") as handle:
-        if handle.seekable():
-            return _read_handle(handle)
-        return _read_handle(io.StringIO(handle.read(), newline=None))
+        return _read_handle(handle) if handle.seekable() else read_tensor(handle)
 
 
 def _read_handle(handle: IO[str]) -> DenseTensor:

@@ -506,6 +506,15 @@ class TestContractionFactor:
         with pytest.raises(ValueError, match="constant"):
             contraction_factor(state)
 
+    def test_underflow_of_the_next_scaling_raises_as_step_does(self):
+        # the zero row's ratio 5e-324 / 2 rounds to 0, so x**(m-1) underflows
+        state = init_state(DenseTensor([[0.0, 0.0], [1.0, 1.0]]), SolverConfig(alpha=5e-324))
+        message = r"the \(m-1\)-th power of the scaling underflowed"
+        with pytest.raises(FloatingPointError, match=message):
+            step(state)
+        with pytest.raises(FloatingPointError, match=message):
+            contraction_factor(state)
+
     @settings(max_examples=25, deadline=None)
     @given(shape=shapes, seed=seeds)
     def test_matches_enumeration_oracle(self, shape, seed):

@@ -40,17 +40,6 @@ shapes = st.sampled_from([(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2)
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
 
-def contract_by_ndindex(t: DenseTensor, x) -> np.ndarray:
-    """Contraction summed entry by entry over every multi-index."""
-    out = np.zeros(t.dim)
-    for index in np.ndindex(t.data.shape):
-        term = t.data[index]
-        for j in index[1:]:
-            term *= x[j]
-        out[index[0]] += term
-    return out
-
-
 # Caller arrays the one dtype rule rejects, as 2x2 tensors; row 0 of each is
 # the vector form.  A float cast would keep only the real part, with a warning
 # at most, parse a string, count the seconds of a date, round a Fraction or
@@ -222,7 +211,7 @@ class TestContract:
     def test_matches_index_loop_at_every_order(self, order, dim):
         t = random_tensor(order, dim, seed=100 * order + dim)
         x = np.random.default_rng(dim).uniform(0.2, 1.5, size=dim)
-        assert contract(t, x) == pytest.approx(contract_by_ndindex(t, x), rel=1e-13)
+        assert contract(t, x) == pytest.approx(contract_loops(t, x), rel=1e-13)
 
     def test_vector_forms(self):
         t = random_tensor(4, 3, seed=8)
