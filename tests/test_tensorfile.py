@@ -1,6 +1,7 @@
 import hashlib
 import io
 import os
+import stat
 import threading
 import tracemalloc
 
@@ -11,9 +12,18 @@ from hypothesis import strategies as st
 
 import specrad.tensorfile
 from conftest import golden_b, golden_file_text, sparse_tensor
-from specrad import DenseTensor, ParseError, random_tensor, read_tensor, row_sums, write_tensor
+from specrad import (
+    DenseTensor,
+    ParseError,
+    TraceRow,
+    random_tensor,
+    read_tensor,
+    row_sums,
+    write_tensor,
+    write_trace_csv,
+)
 from specrad.tensor import MAX_ORDER
-from specrad.tensorfile import _parse_bulk, _parse_header, _parse_lines
+from specrad.tensorfile import _parse_bulk, _parse_header, _parse_lines, _write_lines
 
 # characters ``str.splitlines`` breaks at that are whitespace inside a line
 SPLITLINES_ONLY = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -299,6 +309,104 @@ def test_write_opens_the_path_before_rendering_a_value(tmp_path, monkeypatch):
     # the spy is the one the writer calls
     write_tensor(golden_b(), io.StringIO())
     assert len(rendered) == 3
+
+
+def written_text(writer, content):
+    """The text ``writer`` gives for ``content`` on a ``StringIO``."""
+    buffer = io.StringIO()
+    writer(content, buffer)
+    return buffer.getvalue()
+
+
+def trace(length):
+    return [TraceRow(k, 1.0 / k, 2.0 + k) for k in range(1, length + 1)]
+
+
+def test_a_longer_file_is_overwritten_exactly(tmp_path):
+    path = tmp_path / "t.txt"
+    write_tensor(random_tensor(3, 12, 1), path)
+    short = random_tensor(3, 5, 1)
+    write_tensor(short, path)
+    assert path.read_text() == written_text(write_tensor, short)
+    assert read_tensor(path) == short
+    csv_path = tmp_path / "tr.csv"
+    write_trace_csv(trace(50), csv_path)
+    write_trace_csv(trace(3), csv_path)
+    assert csv_path.read_text() == written_text(write_trace_csv, trace(3))
+
+
+def test_an_overwritten_file_keeps_its_mode(tmp_path):
+    path = tmp_path / "t.txt"
+    write_tensor(random_tensor(3, 6, 1), path)
+    path.chmod(0o600)
+    write_tensor(random_tensor(3, 5, 1), path)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symlinks")
+def test_a_symlink_is_written_through(tmp_path):
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    write_tensor(random_tensor(3, 6, 1), target)
+    link.symlink_to(target)
+    short = random_tensor(3, 5, 1)
+    write_tensor(short, link)
+    assert link.is_symlink()
+    assert target.read_text() == written_text(write_tensor, short)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_writing_to_dev_null_does_not_raise():
+    # the device is seekable, but truncating it fails with EINVAL
+    write_tensor(random_tensor(3, 5, 1), "/dev/null")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_named_pipe_gets_the_stream_text(tmp_path):
+    path = tmp_path / "pipe"
+    os.mkfifo(path)
+    received = []
+
+    def drain():
+        with open(path, "rb") as pipe:
+            received.append(pipe.read())
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    t = random_tensor(3, 12, 1)
+    write_tensor(t, path)
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [written_text(write_tensor, t).encode()]
+
+
+def test_the_old_bytes_stay_until_the_new_text_is_written(tmp_path):
+    path = tmp_path / "t.txt"
+    write_tensor(random_tensor(3, 12, 1), path)
+    old_size = path.stat().st_size
+    sizes = []
+
+    def rows():
+        sizes.append(os.path.getsize(path))
+        yield "1 1 1 1.0"
+
+    _write_lines("3 1", rows(), path)
+    # a truncating open had emptied the file before the first row
+    assert sizes == [old_size]
+    assert path.read_text() == "3 1\n1 1 1 1.0\n"
+
+
+def test_a_failing_row_leaves_no_old_tail(tmp_path):
+    path = tmp_path / "t.txt"
+    write_tensor(random_tensor(3, 12, 1), path)
+
+    def rows():
+        yield "1 1 1 1.0"
+        raise RuntimeError("render failed")
+
+    with pytest.raises(RuntimeError, match="render failed"):
+        _write_lines("3 1", rows(), path)
+    # the rows of a chunk are written together, so only the header got out
+    assert path.read_text() == "3 1\n"
 
 
 @pytest.fixture(scope="module")
