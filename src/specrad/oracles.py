@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (
-    DenseTensor, _check_finite, _check_start_sums, _check_vector, _checked_contract, _contract,
-    _extremes, _underflows, row_sums,
+    DenseTensor, _check_finite, _check_start_sums, _check_vector, _contract,
+    _extremes, _underflows, contract, row_sums,
 )
 
 ORACLE_TOL = 1e-9
@@ -48,7 +48,7 @@ def collatz_wielandt_bounds(a: DenseTensor, x) -> tuple[float, float]:
     if (vec <= 0).any():
         raise ValueError("x must be strictly positive")
     with np.errstate(all="ignore"):
-        ratios = _checked_contract(a, vec) / vec ** (a.order - 1)
+        ratios = contract(a, vec) / vec ** (a.order - 1)
     ratios = _check_finite(ratios, "the ratio is not finite; x**(m-1) leaves the float range")
     return float(ratios.min()), float(ratios.max())
 

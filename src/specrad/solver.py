@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor import (
-    DenseTensor, _check_finite, _check_start_sums, _check_vector, _checked_contract, _contract,
-    _extremes, _rescaled_rows, _underflows, row_sums,
+    DenseTensor, _check_finite, _check_start_sums, _check_vector, _contract,
+    _extremes, _rescaled_rows, _underflows, contract, row_sums,
 )
 
 DEFAULT_ALPHA = 1.0
@@ -221,7 +221,7 @@ def residual(a: DenseTensor, value: float, vector) -> float:
     """
     vec = _check_vector(a, vector)
     with np.errstate(all="ignore"):
-        defect = _checked_contract(a, vec) - value * vec ** (a.order - 1)
+        defect = contract(a, vec) - value * vec ** (a.order - 1)
     defect = _check_finite(defect, "the defect is not finite; scale the value or the vector down")
     return float(np.max(np.abs(defect)))
 

@@ -8,11 +8,8 @@ search (exact by construction, small dimensions).
 
 Both take their per-tuple masks from ``tensor._kron_weights``, the one
 owner of the C-order tuple layout.  Support propagation grows all ``n``
-singleton starts at once in at most ``n`` rounds, each an ``n**m``-byte
-boolean walk over every index tuple plus one ``(n, L) x (L, n)`` float32
-product, where ``L <= n**(m-1)`` counts the index tuples carrying a
-positive entry.  Its two float32 ``(n, L)`` arrays add about the tensor's
-own size in memory.
+singleton starts at once; :func:`irreducible_iterative` gives its cost in
+time and memory.
 
 The subset search decides all ``2**n`` subset bitmasks at once: one
 ``2**n``-long integer array records, per subset, the rows positive on an

@@ -163,25 +163,16 @@ def _contract(rows: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:
     return rows.dot(_kron_weights(x, order))
 
 
-def _checked_contract(a: DenseTensor, vec: np.ndarray) -> np.ndarray:
-    """:func:`_contract` of a vector :func:`_check_vector` passed.
-
-    Finite entries and a finite vector can still contract past the float
-    range (``[[1e308, 1e308], [0, 1]]`` at all ones); that raises
-    ``ValueError`` naming the first such row instead of returning ``inf``
-    or NaN.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = _contract(a._rows, vec, a.order)
-    return _check_finite(y, "the contraction overflows; scale the entries or x down")
+def _reject_first(bad: np.ndarray, problem: str) -> None:
+    """``ValueError("row N of <problem>")`` for the first true entry of the
+    boolean row mask ``bad``, if it has one."""
+    if bad.any():
+        raise ValueError(f"row {int(np.argmax(bad)) + 1} of {problem}")
 
 
 def _check_finite(values: np.ndarray, problem: str) -> np.ndarray:
-    """``values``, or ``ValueError`` naming the first row that is not finite
-    (as :func:`_check_start_sums` does for row sums)."""
-    bad = ~np.isfinite(values)
-    if bad.any():
-        raise ValueError(f"row {int(np.argmax(bad)) + 1} of {problem}")
+    """``values``, or ``ValueError`` naming the first row that is not finite."""
+    _reject_first(~np.isfinite(values), problem)
     return values
 
 
@@ -217,9 +208,15 @@ def contract(a: DenseTensor, x) -> np.ndarray:
     the multilinear analogue of a matrix-vector product.  It is computed as
     one: the ``(n, n**(m-1))`` view of the entries times the weight vector
     ``x[i2] * ... * x[im]`` (exactly ``a.data @ x`` when the order is 2).
-    Raises ``ValueError`` if a component overflows.
+    Finite entries and a finite ``x`` can still contract past the float
+    range (``[[1e308, 1e308], [0, 1]]`` at all ones); that raises
+    ``ValueError`` naming the first such row instead of returning ``inf``
+    or NaN.
     """
-    return _checked_contract(a, _check_vector(a, x))
+    vec = _check_vector(a, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = _contract(a._rows, vec, a.order)
+    return _check_finite(y, "the contraction overflows; scale the entries or x down")
 
 
 def row_sums(a: DenseTensor) -> np.ndarray:
@@ -237,19 +234,15 @@ def _check_start_sums(sums: np.ndarray, label: str, zero_hint: str) -> tuple[flo
     """``(min, max)`` of the nonnegative ``sums`` (:func:`_extremes`), the
     bracket both iterations start from.
 
-    Raises ``ValueError`` naming the first row of ``label`` whose sum is zero
-    or overflows (finite entries can sum to ``inf``); both iterations divide by
-    the row sums they start from.
+    Raises ``ValueError`` naming the first row of ``label`` whose sum is zero,
+    else the first that overflows (finite entries can sum to ``inf``); both
+    iterations divide by the row sums they start from.
     """
     lower, upper = _extremes(sums)
     if lower > 0 and upper < np.inf:
         return lower, upper
-    for bad, problem in (
-        (sums == 0, f"zero row sum; {zero_hint}"),
-        (~np.isfinite(sums), "a row sum that overflows; scale the entries down"),
-    ):
-        if bad.any():
-            raise ValueError(f"row {int(np.argmax(bad)) + 1} of {label} has {problem}")
+    _reject_first(sums == 0, f"{label} has zero row sum; {zero_hint}")
+    _reject_first(~np.isfinite(sums), f"{label} has a row sum that overflows; scale the entries down")
 
 
 def _rescaled_rows(a: DenseTensor, d: np.ndarray, rows) -> np.ndarray:
@@ -274,7 +267,10 @@ def diagonal_similarity(a: DenseTensor, d) -> DenseTensor:
     vec = _check_vector(a, d, "scaling vector")
     if (vec <= 0).any():
         raise ValueError("scaling vector entries must be strictly positive")
-    return DenseTensor._own(_rescaled_rows(a, vec, slice(None)).reshape(a.data.shape))
+    # an entry past the float range is rejected by the tensor checks
+    with np.errstate(all="ignore"):
+        out = _rescaled_rows(a, vec, slice(None))
+    return DenseTensor._own(out.reshape(a.data.shape))
 
 
 def add_identity_shift(b: DenseTensor, alpha: float) -> DenseTensor:
@@ -287,8 +283,10 @@ def add_identity_shift(b: DenseTensor, alpha: float) -> DenseTensor:
     if not 0 <= alpha < np.inf:
         raise ValueError(f"shift must be finite and nonnegative, got {alpha}")
     out = np.array(b.data, copy=True)
-    # (i, ..., i) is flat position i * (1 + n + ... + n**(m-1))
-    out.reshape(-1)[:: sum(b.dim**k for k in range(b.order))] += alpha
+    # (i, ..., i) is flat position i * (1 + n + ... + n**(m-1)); an entry
+    # that overflows is rejected by the tensor checks
+    with np.errstate(over="ignore"):
+        out.reshape(-1)[:: sum(b.dim**k for k in range(b.order))] += alpha
     return DenseTensor._own(out)
 
 

@@ -96,6 +96,10 @@ class TestPowerIteration:
         with pytest.raises(ValueError, match="row 1 .*row sum that overflows"):
             power_iteration(DenseTensor([[1e308, 1e308], [0.0, 1.0]]))
 
+    def test_zero_row_is_named_before_an_earlier_overflowing_row(self):
+        with pytest.raises(ValueError, match="row 2 .*zero row sum"):
+            power_iteration(DenseTensor([[1e308, 1e308], [0.0, 0.0]]))
+
     def test_zero_component_reports_non_convergence(self):
         # the second row's mass underflows to an exact zero after a few
         # normalized sweeps; the oracle must hand back its last valid bracket

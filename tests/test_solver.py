@@ -85,6 +85,10 @@ class TestInitState:
         with pytest.raises(ValueError, match="row 2 .*row sum that overflows"):
             solve(DenseTensor([[0.0, 1.0], [1e308, 1e308]]), SolverConfig(alpha=0.0))
 
+    def test_zero_row_is_named_before_an_earlier_overflowing_row(self):
+        with pytest.raises(ValueError, match="row 2 .*zero row sum"):
+            init_state(DenseTensor([[1e308, 1e308], [0.0, 0.0]]), SolverConfig(alpha=0.0))
+
     def test_accumulator_is_rescaled_ratio(self):
         state = init_state(golden_b(), SolverConfig())
         x = step(state).x

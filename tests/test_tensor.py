@@ -248,6 +248,18 @@ class TestContract:
                 call()
 
     @pytest.mark.filterwarnings("error")
+    def test_derived_tensor_outside_the_float_range_is_rejected(self):
+        # a rescale or a shift past the float range (or a 1/0 rescale) is an
+        # input error from the tensor checks, without a warning
+        for call in (
+            lambda: diagonal_similarity(random_tensor(3, 3, 0), [1e200, 1.0, 1.0]),
+            lambda: diagonal_similarity(random_tensor(3, 3, 0), [1e-200, 1.0, 1.0]),
+            lambda: add_identity_shift(DenseTensor(np.full((2, 2), 1e308)), 1e308),
+        ):
+            with pytest.raises(ValueError, match="tensor entries must be finite"):
+                call()
+
+    @pytest.mark.filterwarnings("error")
     def test_ratio_or_defect_outside_the_float_range_names_the_row(self):
         # the contraction is finite, but x**(m-1) underflows (a 0/0 and a
         # finite/0 ratio) or value * v**(m-1) overflows
