@@ -3,10 +3,7 @@
 :func:`power_iteration` runs on arrays and floats and contracts through the
 unchecked kernel behind :func:`~specrad.tensor.contract`, since its
 iterates are built and checked inside the loop; the :class:`OracleEstimate`
-dataclass is built once, for the result.  It makes one contraction per
-iteration until its iterates repeat bit for bit, as they do on a cyclic,
-non-primitive tensor; from there on it skips whole periods, so a run that
-can never close costs a few contractions, not ``max_iter``.
+dataclass is built once, for the result.
 """
 
 from __future__ import annotations
@@ -17,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (
-    DenseTensor, _check_finite, _check_start_sums, _check_vector, _contract,
-    _extremes, _underflows, contract, row_sums,
+    DenseTensor, _check_finite, _check_start_sums, _contract, _extremes,
+    _underflows, contract, row_sums,
 )
 
 ORACLE_TOL = 1e-9
@@ -40,17 +37,18 @@ class OracleEstimate:
 def collatz_wielandt_bounds(a: DenseTensor, x) -> tuple[float, float]:
     """Pointwise bracket ``(min, max)`` of ``contract(a, x) / x**(m-1)``.
 
-    Requires ``x`` strictly positive; with ``x`` all ones this is exactly
-    the row-sum bracket.  Raises ``ValueError`` naming the first row whose
-    ratio is not finite.
+    ``x`` must pass the checks of :func:`~specrad.tensor.contract`, which come
+    first, and be strictly positive; with ``x`` all ones this is exactly the
+    row-sum bracket.  Raises ``ValueError`` naming the first row whose ratio
+    is not finite.
     """
-    vec = _check_vector(a, x)
+    y = contract(a, x)
+    vec = np.asarray(x, dtype=float)
     if (vec <= 0).any():
         raise ValueError("x must be strictly positive")
     with np.errstate(all="ignore"):
-        ratios = contract(a, vec) / vec ** (a.order - 1)
-    ratios = _check_finite(ratios, "the ratio is not finite; x**(m-1) leaves the float range")
-    return float(ratios.min()), float(ratios.max())
+        ratios = y / vec ** (a.order - 1)
+    return _extremes(_check_finite(ratios, "the ratio is not finite; x**(m-1) leaves the float range"))
 
 
 def power_iteration(

@@ -11,19 +11,8 @@ tensor nor the shifted one is ever formed: the shifted operator is
 ``contract(B, x) + alpha * x**(m-1)`` (Liu-Zhou-Ibrahim, J. Comput. Appl.
 Math. 235, 2010), so the balanced row sums are the Collatz-Wielandt ratios
 ``contract(B, x) / x**(m-1) + alpha`` of the input ``B`` at the accumulated
-scaling ``x``, the product of the per-sweep ratios ``(R[i] / max R)**(1/(m-1))``.
-The state is the input, ``alpha`` and the length-n vector ``x``, and a sweep
-is one read-only contraction of the input (the Ng-Qi-Zhou power iteration,
-SIAM J. Matrix Anal. Appl. 31, 2009).  That is the only pass a solve makes
-over the entries: the initial row sums come from validation, the reported
-eigenvector is the scaling the last sweep contracted at, and its residual is
-computed from that sweep's row sums.
-
-One kernel, :func:`_balance`, performs every sweep and takes its bracket.
-It works on arrays and floats, and :func:`solve` runs it on plain locals:
-a solve builds exactly one :class:`IterationState`, its start from
-:func:`init_state`, and none per sweep.  :func:`step` returns a state per
-sweep, and a traced run keeps one :class:`TraceRow` per sweep.
+scaling ``x``.  A sweep is one read-only contraction of the input (the
+Ng-Qi-Zhou power iteration, SIAM J. Matrix Anal. Appl. 31, 2009).
 
 Iteration counters: state ``k`` counts balancing sweeps performed, while
 trace rows are numbered from 1 (row 1 holds the initial, unbalanced row-sum
@@ -39,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor import (
-    DenseTensor, _check_finite, _check_start_sums, _check_vector, _contract,
-    _extremes, _rescaled_rows, _underflows, contract, row_sums,
+    DenseTensor, _check_finite, _check_start_sums, _contract, _extremes,
+    _rescaled_rows, _underflows, contract, row_sums,
 )
 
 DEFAULT_ALPHA = 1.0
@@ -219,11 +208,11 @@ def residual(a: DenseTensor, value: float, vector) -> float:
 
     Raises ``ValueError`` naming the first row whose defect is not finite.
     """
-    vec = _check_vector(a, vector)
+    y = contract(a, vector)
     with np.errstate(all="ignore"):
-        defect = contract(a, vec) - value * vec ** (a.order - 1)
+        defect = y - value * np.asarray(vector, dtype=float) ** (a.order - 1)
     defect = _check_finite(defect, "the defect is not finite; scale the value or the vector down")
-    return float(np.max(np.abs(defect)))
+    return _extremes(np.abs(defect))[1]
 
 
 def contraction_factor(state: IterationState) -> float:

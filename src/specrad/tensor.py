@@ -3,10 +3,7 @@
 A tensor of order ``m`` and dimension ``n`` is a cubical multiarray with
 ``n**m`` entries ``a[i1, ..., im]``.  Everything here treats tensors as
 immutable values: operations return fresh tensors and never mutate inputs,
-so instances are safe to share across threads.  The public
-``DenseTensor(data)`` constructor copies ``data``; the tensors this package
-builds itself (random, read from a file, shifted, rescaled) take ownership
-of the fresh array they were computed into, so no ``n**m`` copy is made.
+so instances are safe to share across threads.
 """
 
 from __future__ import annotations

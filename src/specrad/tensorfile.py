@@ -23,15 +23,6 @@ the start of the handle, line by line; that per-line pass is the only source
 of :class:`ParseError` and its line number, and it also accepts the few
 spellings ``int``/``float`` take but ``loadtxt`` does not (``1_0``,
 non-ASCII digits), with the same result.  No list of lines is kept.
-
-Traces are written as CSV with the header ``k,r,R,gap,mid``.  Both writers
-open a path (or take a text stream) first, then stream the rows in chunks.
-A path is overwritten in place and cut at the end of the new text, not
-truncated on open: on an ext4 disk mounted with ``discard``, truncating a
-9.2 MB file written moments earlier blocked the ``open`` for 0.18-0.5 s,
-while the in-place open and the cut took under 4 ms together.  A process
-killed between its last write and the cut can leave the old file's tail
-after the new text (a truncating open left a partial file instead).
 """
 
 from __future__ import annotations
@@ -190,10 +181,16 @@ def write_trace_csv(trace: list[TraceRow], dest: PathOrFile) -> None:
 def _write_lines(header: str, rows: Iterator[str], dest: PathOrFile) -> None:
     """Write ``header``, then ``rows`` one per line, ``2**16`` rows per ``write``.
 
-    A path is opened without ``O_TRUNC`` and written from offset 0; a regular
-    file is then cut at the end of the new text, also when a row raises
-    midway, so none of the old bytes remain.  Symlinks, hard links and the
-    file's mode are kept.
+    No row is drawn before ``dest`` is open, so a lazy ``rows`` formats
+    nothing for a path that cannot be opened.  A path is opened without
+    ``O_TRUNC`` and written from offset 0; a regular file is then cut at the
+    end of the new text, also when a row raises midway, so none of the old
+    bytes remain.  Symlinks, hard links and the file's mode are kept.  On an
+    ext4 disk mounted with ``discard``, truncating a 9.2 MB file written
+    moments earlier blocked the ``open`` for 0.18-0.5 s, while the in-place
+    open and the cut took under 4 ms together.  A process killed between its
+    last write and the cut can leave the old file's tail after the new text
+    (a truncating open left a partial file instead).
     """
     if not hasattr(dest, "write"):
         with open(dest, "w", encoding="utf-8", opener=_open_in_place) as handle:

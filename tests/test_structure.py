@@ -16,7 +16,7 @@ from specrad import (
     random_tensor,
     reducible_bruteforce,
 )
-from specrad.structure import BRUTE_FORCE_DIM_CAP, _reached
+from specrad.structure import BRUTE_FORCE_DIM_CAP, _is_reducing, _reached
 from specrad.tensor import MAX_ORDER
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -43,6 +43,12 @@ class TestIterative:
         assert not verdict.irreducible
         assert verdict.witness == (1, 2)
         assert reducing_subset_ok(golden, verdict.witness)
+
+    def test_witness_check_rejects_the_empty_and_the_full_subset(self):
+        # both pass the zero-pattern test vacuously; neither is a witness
+        t = identity_tensor(3, 3)
+        assert _is_reducing(t, ()) is False
+        assert _is_reducing(t, tuple(range(t.dim))) is False
 
     def test_dim_one_matrix_is_irreducible(self):
         assert irreducible_iterative(DenseTensor([[5.0]])).irreducible

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specrad.tensor
 from conftest import (
     contract_loops,
     diagonal_similarity_loops,
@@ -75,6 +76,21 @@ def test_vector_arguments_follow_the_tensor_dtype_rule(fn):
             fn(a, data[0])
     for x in ([True, True], [1, 3], np.array([2, 1], dtype=np.uint8)):
         assert fn(a, x).tobytes() == fn(a, np.asarray(x, dtype=float)).tobytes()
+
+
+@pytest.mark.parametrize("fn", ["residual", "collatz_wielandt_bounds"])
+def test_a_vector_is_converted_once_per_call(fn, monkeypatch):
+    # contract owns the vector rule; its callers do not check x again
+    calls = []
+    real_array = specrad.tensor._real_array
+
+    def counted(*args):
+        calls.append(args)
+        return real_array(*args)
+
+    monkeypatch.setattr(specrad.tensor, "_real_array", counted)
+    VECTOR_FUNCTIONS[fn](random_tensor(3, 3, seed=0), [1.0, 1.0, 1.0])
+    assert len(calls) == 1
 
 
 class TestDenseTensor:
@@ -180,6 +196,10 @@ class TestDenseTensor:
         b = random_tensor(3, 2, seed=2)
         assert a == random_tensor(3, 2, seed=1)
         assert a != b
+        assert (a == 1) is False and (a != "a") is True
+
+    def test_repr_gives_order_and_dimension(self):
+        assert repr(random_tensor(3, 2, seed=0)) == "DenseTensor(order=3, dim=2)"
 
 
 class TestContract:
