@@ -163,16 +163,16 @@ def init_state(b: DenseTensor, config: SolverConfig) -> IterationState:
 def _balance(rows, m, alpha, x, sums, upper) -> tuple[np.ndarray, np.ndarray, float, float]:
     """One more sweep from ``(x, sums, upper)``: the new ``(x, sums, lower, upper)``.
 
-    The one iteration kernel, on the input's row view ``rows`` (``_rows``)
-    and order ``m``.  The bracket is Python floats from ``_extremes``, so a
-    NaN row sum makes both NaN.  Arrays and floats only: :func:`solve`
-    builds no state per sweep, only its start.
+    The paper's update as written: ``x <- x * (R / max R)**(1/(m-1))``, then
+    ``R <- contract(B, x) / x**(m-1) + alpha``, on the input's row view
+    ``rows`` (``_rows``) and order ``m``.  The bracket is Python floats from
+    ``_extremes``, so a NaN row sum makes both NaN.  :func:`solve` builds no
+    state per sweep, only its start.  The length-n temporaries are deliberate:
+    in place, the ``small_solve`` batch median was 0.01642 s against 0.01645 s
+    (10 alternating pairs, 2 cores, one BLAS thread), inside the in-place
+    runs' own 0.01625-0.01656 s spread.
     """
-    # in place on arrays made here, so the sweep allocates no temporaries
-    ratio = sums / upper
-    ratio **= 1.0 / (m - 1)
-    ratio *= x
-    x = ratio
+    x = (sums / upper) ** (1.0 / (m - 1)) * x
     top = _extremes(x)[1]
     # top < 1 first, so the power of a Python float cannot overflow
     if top < 1.0 and top ** (m - 1) < 2.0**-511:
@@ -182,9 +182,7 @@ def _balance(rows, m, alpha, x, sums, upper) -> tuple[np.ndarray, np.ndarray, fl
     powered = x ** (m - 1)
     if _underflows(powered):
         raise FloatingPointError("the (m-1)-th power of the scaling underflowed")
-    new_sums = _contract(rows, x, m)
-    new_sums /= powered
-    new_sums += alpha
+    new_sums = _contract(rows, x, m) / powered + alpha
     return x, new_sums, *_extremes(new_sums)
 
 
@@ -280,9 +278,7 @@ def solve(b: DenseTensor, config: SolverConfig | None = None) -> SolveReport:
         if cfg.trace:
             trace.append(TraceRow(k + 1, lower, upper))
     rho_shifted = _midpoint(lower, upper)
-    defect = sums - rho_shifted
-    defect *= x ** (m - 1)
-    np.abs(defect, out=defect)
+    defect = np.abs(sums - rho_shifted) * x ** (m - 1)
     return SolveReport(
         rho=rho_shifted - alpha,
         eigenvector=x,

@@ -45,14 +45,14 @@ def _validated(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not 2 <= arr.ndim <= MAX_ORDER:
         raise ValueError(f"order must be between 2 and the cap of {MAX_ORDER}, got {arr.ndim}")
     n = arr.shape[0]
-    if n < 1 or any(s != n for s in arr.shape):
+    if any(s != n for s in arr.shape):
         raise ValueError(f"tensor must be cubical, got shape {arr.shape}")
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
     lo = arr.min()
-    if not np.isfinite(lo):
-        raise ValueError("tensor entries must be finite")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         sums = arr.reshape(n, -1).dot(np.ones(n ** (arr.ndim - 1)))
-    if not _extremes(sums)[1] < np.inf and not np.isfinite(arr.max()):
+    if not np.isfinite(lo) or (not _extremes(sums)[1] < np.inf and not np.isfinite(arr.max())):
         raise ValueError("tensor entries must be finite")
     if lo < 0:
         raise ValueError("tensor entries must be nonnegative")
@@ -118,9 +118,7 @@ class DenseTensor:
     def __eq__(self, other):
         if not isinstance(other, DenseTensor):
             return NotImplemented
-        return self._data.shape == other.data.shape and bool(
-            np.array_equal(self._data, other.data)
-        )
+        return np.array_equal(self._data, other.data)
 
     def __repr__(self):
         return f"DenseTensor(order={self.order}, dim={self.dim})"

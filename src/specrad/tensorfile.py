@@ -32,11 +32,10 @@ import os
 import stat
 import warnings
 from itertools import islice
-from typing import IO, Iterator, Union
+from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
 
-from .solver import TraceRow
 from .tensor import DenseTensor, check_shape
 
 PathOrFile = Union[str, os.PathLike, IO[str]]
@@ -172,7 +171,7 @@ def _entry_rows(tensor: DenseTensor) -> Iterator[str]:
         yield from map("".join, zip(*columns, values))
 
 
-def write_trace_csv(trace: list[TraceRow], dest: PathOrFile) -> None:
+def write_trace_csv(trace: Iterable, dest: PathOrFile) -> None:
     """Write trace rows as CSV with header ``k,r,R,gap,mid`` (6 significant digits)."""
     rows = (f"{r.k},{r.lower:.6g},{r.upper:.6g},{r.gap:.6g},{r.midpoint:.6g}" for r in trace)
     _write_lines("k,r,R,gap,mid", rows, dest)

@@ -14,7 +14,6 @@ from specrad import DenseTensor, add_identity_shift
 # Golden 3x3x3 regression tensor: known spectral radius, eigenvector and
 # per-sweep bound trace (frozen below).
 GOLDEN_RHO = 5.79262
-GOLDEN_RHO_SHIFTED = 6.79262
 GOLDEN_EIGENVECTOR = (0.46224, 0.57681, 0.593515)
 
 # Frozen reference trace rows (k, lower, upper, gap, midpoint), 6 significant

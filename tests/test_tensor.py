@@ -123,6 +123,13 @@ class TestDenseTensor:
         with pytest.raises(ValueError, match="cubical"):
             DenseTensor(np.zeros((2, 3)))
 
+    def test_zero_size_shapes_get_the_dimension_or_cubical_message(self):
+        for shape in [(0, 0), (0, 0, 0)]:
+            with pytest.raises(ValueError, match=r"^dimension must be >= 1, got 0$"):
+                DenseTensor(np.zeros(shape))
+        with pytest.raises(ValueError, match=r"cubical, got shape \(0, 3\)"):
+            DenseTensor(np.zeros((0, 3)))
+
     def test_rejects_rank_one(self):
         with pytest.raises(ValueError, match="order"):
             DenseTensor(np.zeros(4))
