@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Sweep random tensors over a grid of shapes and report convergence stats.
 
-For each (n, m) shape, solves seeded uniform-[0,10] tensors and prints the
+For each (n, m) shape, solves seeded uniform-[0,10) tensors and prints the
 sweep count, spectral-radius estimate of the shifted tensor, final gap,
 eigen-equation residual and wall time.  Cross-checks each result against
 the power-iteration bracket.

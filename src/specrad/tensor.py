@@ -8,6 +8,8 @@ so instances are safe to share across threads.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 # Guard for constructors that allocate from user-supplied sizes (roughly
@@ -19,6 +21,11 @@ MAX_DENSE_ENTRIES = 50_000_000
 MAX_ORDER = MAX_DENSE_ENTRIES.bit_length() - 1
 
 _TINY = float(np.finfo(float).tiny)
+
+# random_tensor fills its entries in blocks of _FILL_BLOCK, and from
+# _TWO_HALVES entries on in two halves at once (see its docstring).
+_FILL_BLOCK = 2**16
+_TWO_HALVES = 2**20
 
 
 def _real_array(data, name: str) -> np.ndarray:
@@ -300,12 +307,57 @@ def check_shape(order: int, dim: int) -> None:
         raise ValueError(f"{dim}**{order} entries exceed the cap of {MAX_DENSE_ENTRIES}")
 
 
-def random_tensor(order: int, dim: int, seed: int) -> DenseTensor:
-    """Seeded tensor with entries drawn i.i.d. uniform on ``[0, 10]``.
+def _fill_uniform(out: np.ndarray, seed: int, start: int) -> None:
+    """Fill the flat ``out`` with draws ``start, start + 1, ...`` of the
+    seed's ``uniform(0.0, 10.0)`` stream, one ``_FILL_BLOCK`` at a time.
 
-    The same ``(order, dim, seed)`` always yields a bit-identical tensor.
-    Raises ``ValueError`` on a shape :func:`check_shape` rejects.
+    ``uniform`` computes ``0.0 + 10.0 * u``, which is ``10.0 * u`` bit for
+    bit, so each block takes ``rng.random(out=...)`` and one in-place scaling
+    while it is still in cache.  Each draw is one PCG64 step, so ``advance``
+    lands exactly on draw ``start``.  Both calls release the GIL.
+    """
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(start)
+    for first in range(0, out.size, _FILL_BLOCK):
+        block = out[first : first + _FILL_BLOCK]
+        rng.random(out=block)
+        block *= 10.0
+
+
+def random_tensor(order: int, dim: int, seed: int) -> DenseTensor:
+    """Seeded tensor with entries drawn i.i.d. uniform on ``[0, 10)``.
+
+    The largest draw, ``10 * (1 - 2**-53)``, rounds below 10.  The entries
+    are those of ``np.random.default_rng(seed).uniform(0.0, 10.0, size=(dim,)
+    * order)``, bit for bit.  From ``_TWO_HALVES`` entries on, they are two
+    halves of that one PCG64 stream, filled at once: the caller's thread
+    fills the first and one worker thread the second, from a generator moved
+    forward by ``advance``.  The halves are fixed, so the result does not
+    depend on the number of cores.  An error in the worker is raised here
+    once both halves have stopped.  Raises ``ValueError`` on a shape
+    :func:`check_shape` rejects.
     """
     check_shape(order, dim)
-    rng = np.random.default_rng(seed)
-    return DenseTensor._own(rng.uniform(0.0, 10.0, size=(dim,) * order))
+    arr = np.empty((dim,) * order)
+    entries = arr.reshape(-1)
+    if entries.size < _TWO_HALVES:
+        _fill_uniform(entries, seed, 0)
+        return DenseTensor._own(arr)
+    half = entries.size // 2
+    errors = []
+
+    def fill_second_half():
+        try:
+            _fill_uniform(entries[half:], seed, half)
+        except BaseException as exc:  # a Thread drops its target's error
+            errors.append(exc)
+
+    worker = threading.Thread(target=fill_second_half)
+    worker.start()
+    try:
+        _fill_uniform(entries[:half], seed, 0)
+    finally:
+        worker.join()
+    if errors:
+        raise errors[0]
+    return DenseTensor._own(arr)

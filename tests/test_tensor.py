@@ -1,5 +1,6 @@
 import io
 import itertools
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -190,13 +191,17 @@ class TestDenseTensor:
                 t.data[(0,) * t.order] = 1.0
 
     def test_random_tensor_allocates_the_entries_once(self):
-        tracemalloc.start()
-        try:
-            t = random_tensor(3, 60, seed=12)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * t.data.nbytes
+        # the first draw imports numpy.random (about 1 MB), outside the count
+        random_tensor(2, 2, seed=0)
+        # (1025, 2) takes the two-half path: no copy per half or per block
+        for order, dim in [(3, 60), (2, 1025)]:
+            tracemalloc.start()
+            try:
+                t = random_tensor(order, dim, seed=12)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * t.data.nbytes
 
     def test_equality(self):
         a = random_tensor(3, 2, seed=1)
@@ -538,7 +543,40 @@ class TestRandomTensor:
     def test_entries_within_range(self):
         t = random_tensor(3, 6, seed=3)
         assert t.data.min() >= 0.0
-        assert t.data.max() <= 10.0
+        assert t.data.max() < 10.0
+        # the largest draw of random() is 1 - 2**-53; times 10 it rounds below 10
+        assert 10.0 * (1.0 - 2.0**-53) < 10.0
+
+    # (1023, 2) fills on the caller's thread; (1024, 2) is exactly 2**20
+    # entries, two equal halves; (1025, 2) and (101, 3) split unevenly and
+    # not on a block boundary
+    @pytest.mark.parametrize(
+        "order,dim", [(2, 1023), (2, 1024), (2, 1025), (3, 101), (2, 1), (2, 5), (3, 2), (4, 3)]
+    )
+    def test_entries_are_the_uniform_stream(self, order, dim):
+        for seed in (0, 7):
+            t = random_tensor(order, dim, seed)
+            ref = np.random.default_rng(seed).uniform(0.0, 10.0, size=(dim,) * order)
+            assert t.data.tobytes() == ref.tobytes()
+            sums = ref.reshape(dim, -1).dot(np.ones(dim ** (order - 1)))
+            assert row_sums(t).tobytes() == sums.tobytes()
+
+    def test_an_error_in_the_second_half_reaches_the_caller(self, monkeypatch):
+        fill = specrad.tensor._fill_uniform
+        failed_on = []
+
+        def failing(out, seed, start):
+            if start:
+                failed_on.append(threading.get_ident())
+                raise RuntimeError("second half failed")
+            fill(out, seed, start)
+
+        monkeypatch.setattr(specrad.tensor, "_fill_uniform", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="second half failed"):
+            random_tensor(2, 1025, seed=1)
+        assert threading.active_count() == before
+        assert failed_on and failed_on[0] != threading.get_ident()
 
     def test_mean_near_center(self):
         t = random_tensor(3, 20, seed=0)
