@@ -22,10 +22,12 @@ MAX_ORDER = MAX_DENSE_ENTRIES.bit_length() - 1
 
 _TINY = float(np.finfo(float).tiny)
 
-# random_tensor fills its entries in blocks of _FILL_BLOCK, and from
-# _TWO_HALVES entries on in two halves at once (see its docstring).
-_FILL_BLOCK = 2**16
-_TWO_HALVES = 2**20
+# random_tensor fills a tensor of more entries than this in two halves at
+# once.  Starting the second thread costs about 40 us, which the split repays
+# from about here on; the fill time one thread -> two, best of 9 on 2 cores
+# with numpy 2.4.6, is 18 -> 51 us at 8000 entries, 103 -> 119 us at 64000
+# and 339 -> 207 us at 216000.
+_ONE_THREAD_ENTRIES = 2**16
 
 
 def _real_array(data, name: str) -> np.ndarray:
@@ -309,19 +311,17 @@ def check_shape(order: int, dim: int) -> None:
 
 def _fill_uniform(out: np.ndarray, seed: int, start: int) -> None:
     """Fill the flat ``out`` with draws ``start, start + 1, ...`` of the
-    seed's ``uniform(0.0, 10.0)`` stream, one ``_FILL_BLOCK`` at a time.
+    seed's ``uniform(0.0, 10.0)`` stream.
 
     ``uniform`` computes ``0.0 + 10.0 * u``, which is ``10.0 * u`` bit for
-    bit, so each block takes ``rng.random(out=...)`` and one in-place scaling
-    while it is still in cache.  Each draw is one PCG64 step, so ``advance``
+    bit, so ``rng.random(out=...)`` and one in-place scaling give its draws
+    without a second array.  Each draw is one PCG64 step, so ``advance``
     lands exactly on draw ``start``.  Both calls release the GIL.
     """
     rng = np.random.default_rng(seed)
     rng.bit_generator.advance(start)
-    for first in range(0, out.size, _FILL_BLOCK):
-        block = out[first : first + _FILL_BLOCK]
-        rng.random(out=block)
-        block *= 10.0
+    rng.random(out=out)
+    out *= 10.0
 
 
 def random_tensor(order: int, dim: int, seed: int) -> DenseTensor:
@@ -329,18 +329,18 @@ def random_tensor(order: int, dim: int, seed: int) -> DenseTensor:
 
     The largest draw, ``10 * (1 - 2**-53)``, rounds below 10.  The entries
     are those of ``np.random.default_rng(seed).uniform(0.0, 10.0, size=(dim,)
-    * order)``, bit for bit.  From ``_TWO_HALVES`` entries on, they are two
-    halves of that one PCG64 stream, filled at once: the caller's thread
-    fills the first and one worker thread the second, from a generator moved
-    forward by ``advance``.  The halves are fixed, so the result does not
-    depend on the number of cores.  An error in the worker is raised here
-    once both halves have stopped.  Raises ``ValueError`` on a shape
-    :func:`check_shape` rejects.
+    * order)``, bit for bit.  Above ``_ONE_THREAD_ENTRIES`` entries, they
+    are two halves of that one PCG64 stream, filled at once: the caller's
+    thread fills the first and one worker thread the second, from a
+    generator moved forward by ``advance``.  The halves are fixed, so the
+    result does not depend on the number of cores.  An error in the worker
+    is raised here once both halves have stopped.  Raises ``ValueError`` on
+    a shape :func:`check_shape` rejects.
     """
     check_shape(order, dim)
     arr = np.empty((dim,) * order)
     entries = arr.reshape(-1)
-    if entries.size < _TWO_HALVES:
+    if entries.size <= _ONE_THREAD_ENTRIES:
         _fill_uniform(entries, seed, 0)
         return DenseTensor._own(arr)
     half = entries.size // 2
