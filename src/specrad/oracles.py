@@ -103,14 +103,16 @@ def power_iteration(
         if iterations & (iterations - 1) == 0:
             anchor, anchor_at = key, iterations
         nxt = y**root
-        nxt /= _extremes(nxt)[1]
+        low, top = _extremes(nxt)
         iterations += 1
-        powered = nxt ** (m - 1)
-        # y holds no NaN and some finite entry here (else the gap was NaN),
-        # so a NaN in nxt (inf / inf) comes with a zero (finite / inf); the
-        # sweep's rule stops at both, and at a power below the normal range
-        if _underflows(powered):
+        # y holds no NaN, a finite entry and a positive one here (else the
+        # gap was NaN or 0), so top > 0, and an infinite top makes low / top
+        # zero: the sweep's rule stops there, as at a power below the normal
+        # range, before any entry is divided by top
+        if _underflows(low / top, m):
             return OracleEstimate(lower, upper, x, iterations, converged=False)
+        nxt /= top
+        powered = nxt ** (m - 1)
         y = _contract(rows, nxt, m)
         ratios = y / powered
         x, (lower, upper) = nxt, _extremes(ratios)

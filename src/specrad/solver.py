@@ -166,22 +166,26 @@ def _balance(rows, m, alpha, x, sums, upper) -> tuple[np.ndarray, np.ndarray, fl
     The paper's update as written: ``x <- x * (R / max R)**(1/(m-1))``, then
     ``R <- contract(B, x) / x**(m-1) + alpha``, on the input's row view
     ``rows`` (``_rows``) and order ``m``.  The bracket is Python floats from
-    ``_extremes``, so a NaN row sum makes both NaN.  :func:`solve` builds no
-    state per sweep, only its start.  The length-n temporaries are deliberate:
-    in place, the ``small_solve`` batch median was 0.01642 s against 0.01645 s
-    (10 alternating pairs, 2 cores, one BLAS thread), inside the in-place
-    runs' own 0.01625-0.01656 s spread.
+    ``_extremes``, so a NaN row sum makes both NaN.  One ``_extremes`` of the
+    new ``x`` serves both scalar tests: its largest entry decides the rescale
+    and its smallest the underflow stop (:func:`_underflows`), before
+    ``x**(m-1)`` is formed.  :func:`solve` builds no state per sweep, only
+    its start.  The length-n temporaries are deliberate: in place, the
+    ``small_solve`` batch median was 0.01642 s against 0.01645 s (10
+    alternating pairs, 2 cores, one BLAS thread), inside the in-place runs'
+    own 0.01625-0.01656 s spread.
     """
     x = (sums / upper) ** (1.0 / (m - 1)) * x
-    top = _extremes(x)[1]
+    low, top = _extremes(x)
     # top < 1 first, so the power of a Python float cannot overflow
     if top < 1.0 and top ** (m - 1) < 2.0**-511:
         # a slow run shrinks every entry halfway to underflow; an exact
         # power-of-two rescale changes no ratio
-        x = np.ldexp(x, -math.frexp(top)[1])
-    powered = x ** (m - 1)
-    if _underflows(powered):
+        shift = -math.frexp(top)[1]
+        x, low = np.ldexp(x, shift), math.ldexp(low, shift)
+    if _underflows(low, m):
         raise FloatingPointError("the (m-1)-th power of the scaling underflowed")
+    powered = x ** (m - 1)
     new_sums = _contract(rows, x, m) / powered + alpha
     return x, new_sums, *_extremes(new_sums)
 

@@ -142,6 +142,28 @@ class TestPowerIteration:
         assert not estimate.converged and estimate.iterations < ORACLE_MAX_ITER
         assert (estimate.vector**2).min() >= np.finfo(float).tiny
 
+    def test_stops_one_float_below_the_smallest_normal_power(self):
+        # at order 2 the rule reads the iterate itself: 2**-1022 is kept (its
+        # square then contracts to an exact zero, which stops the next
+        # iteration) and one float lower stops the first
+        at = power_iteration(DenseTensor(np.diag([1.0, 2.0**-1022])))
+        assert (at.iterations, at.converged) == (2, False)
+        assert np.array_equal(at.vector, [1.0, 2.0**-1022])
+        below = power_iteration(DenseTensor(np.diag([1.0, 2.0**-1023])))
+        assert (below.iterations, below.converged) == (1, False)
+        assert np.array_equal(below.vector, [1.0, 1.0])
+
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    def test_converges_at_a_tol_equal_to_the_gap(self, golden, k):
+        # converged means gap <= tol: a tol of exactly the gap after k
+        # iterations stops the run there, converged
+        a = add_identity_shift(golden, 1.0)
+        first = power_iteration(a, max_iter=k)
+        assert first.iterations == k and not first.converged
+        estimate = power_iteration(a, tol=first.upper - first.lower)
+        assert estimate.iterations == k and estimate.converged
+        assert (estimate.lower, estimate.upper) == (first.lower, first.upper)
+
     @pytest.mark.parametrize("index", range(len(REFERENCE_INPUTS)))
     def test_matches_two_contraction_loop_bit_for_bit(self, index):
         a = REFERENCE_INPUTS[index]
@@ -189,9 +211,14 @@ class TestPowerIteration:
             return original(rows, x, order)
 
         monkeypatch.setattr(specrad.oracles, "_contract", counting)
-        estimate = power_iteration(golden)
-        assert estimate.iterations == 10_000 and not estimate.converged
-        assert len(calls) <= 16
+        # y repeats with period 2: the anchor kept at iteration 2 meets it
+        # again at 4, an odd remainder costs one contraction more, and a
+        # lost anchor or skip would cost thousands
+        for max_iter, contractions in [(10_000, 4), (10_001, 5)]:
+            calls.clear()
+            estimate = power_iteration(golden, max_iter=max_iter)
+            assert estimate.iterations == max_iter and not estimate.converged
+            assert len(calls) == contractions
 
     @pytest.mark.parametrize("max_iter", [-1, 1.5, 1e4, "10", None])
     def test_rejects_a_max_iter_that_is_not_a_nonnegative_integer(self, golden, max_iter):

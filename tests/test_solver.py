@@ -121,6 +121,24 @@ class TestStep:
             after = step(state)
         assert np.isnan(after.upper) and np.isnan(after.lower)
 
+    @pytest.mark.parametrize("order, smallest", [(2, 2.0**-1022), (3, 2.0**-511)])
+    def test_underflow_stop_at_the_smallest_normal_power(self, order, smallest):
+        # equal sums keep x, so the guard sees its smallest entry as given:
+        # a power of exactly 2**-1022 passes and one float lower stops
+        start = init_state(DenseTensor(np.ones((2,) * order)), SolverConfig())
+        after = step(dataclasses.replace(start, x=np.array([1.0, smallest])))
+        assert np.array_equal(after.x, [1.0, smallest])
+        below = dataclasses.replace(start, x=np.array([1.0, np.nextafter(smallest, 0.0)]))
+        with pytest.raises(FloatingPointError, match="underflowed"):
+            step(below)
+
+    @pytest.mark.parametrize("entry, kept", [(2.0**-256, 0.5), (2.0**-255, 2.0**-255)])
+    def test_power_of_two_rescale_threshold_at_order_3(self, entry, kept):
+        # the rescale fires once top**(m-1) < 2**-511 and lifts top to [0.5, 1)
+        start = init_state(DenseTensor(np.ones((2, 2, 2))), SolverConfig())
+        after = step(dataclasses.replace(start, x=np.full(2, entry)))
+        assert np.array_equal(after.x, np.full(2, kept))
+
     def test_sums_always_recomputable(self):
         state = init_state(golden_b(), SolverConfig())
         for _ in range(5):
@@ -236,6 +254,16 @@ class TestSolveGeneral:
         for _ in range(3):
             assert type(state.upper) is float and type(state.lower) is float
             state = step(state)
+
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    def test_converges_at_a_tol_equal_to_the_gap(self, golden, k):
+        # converged means gap <= tol: a tol of exactly the gap after k
+        # sweeps stops the run there, converged
+        first = solve(golden, SolverConfig(max_iter=k))
+        assert first.iterations == k and not first.converged
+        report = solve(golden, SolverConfig(tol=first.final_gap))
+        assert report.iterations == k and report.converged
+        assert (report.lower, report.upper) == (first.lower, first.upper)
 
     def test_trace_can_be_disabled(self, golden):
         report = solve(golden, SolverConfig(trace=False))
