@@ -9,7 +9,6 @@ so instances are safe to share across threads.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -344,11 +343,12 @@ def random_tensor(order: int, dim: int, seed: int) -> DenseTensor:
     are those of ``np.random.default_rng(seed).uniform(0.0, 10.0, size=(dim,)
     * order)``, bit for bit.  Above ``_ONE_THREAD_ENTRIES`` entries, they
     are two halves of that one PCG64 stream, filled at once: the caller's
-    thread fills the first and one worker thread the second, from a
-    generator moved forward by ``advance``.  The halves are fixed, so the
-    result does not depend on the number of cores.  An error in the worker
-    is raised here once both halves have stopped.  Raises ``ValueError`` on
-    a shape :func:`check_shape` rejects.
+    thread fills the first and a one-thread executor's worker the second,
+    from a generator moved forward by ``advance``.  The halves are fixed, so
+    the result does not depend on the number of cores.  An error in the
+    worker reaches the caller through ``Future.result()``, once both halves
+    have stopped.  Raises ``ValueError`` on a shape :func:`check_shape`
+    rejects.
     """
     check_shape(order, dim)
     arr = np.empty((dim,) * order)
@@ -356,21 +356,12 @@ def random_tensor(order: int, dim: int, seed: int) -> DenseTensor:
     if entries.size <= _ONE_THREAD_ENTRIES:
         _fill_uniform(entries, seed, 0)
         return DenseTensor._own(arr)
+    # imported here: concurrent.futures pulls in logging, which costs ~2 ms
+    from concurrent.futures import ThreadPoolExecutor
+
     half = entries.size // 2
-    errors = []
-
-    def fill_second_half():
-        try:
-            _fill_uniform(entries[half:], seed, half)
-        except BaseException as exc:  # a Thread drops its target's error
-            errors.append(exc)
-
-    worker = threading.Thread(target=fill_second_half)
-    worker.start()
-    try:
+    with ThreadPoolExecutor(1) as pool:
+        second = pool.submit(_fill_uniform, entries[half:], seed, half)
         _fill_uniform(entries[:half], seed, 0)
-    finally:
-        worker.join()
-    if errors:
-        raise errors[0]
+    second.result()
     return DenseTensor._own(arr)

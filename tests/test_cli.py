@@ -362,3 +362,12 @@ def test_module_entry_point_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert "rho = 5.79262" in proc.stdout
+
+
+def test_cli_import_leaves_the_executor_out():
+    # random_tensor imports concurrent.futures, and with it logging, only to
+    # split a large fill, so that every CLI process is spared the ~2 ms
+    code = "import specrad.cli, sys; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -533,6 +533,15 @@ class TestContractionFactor:
         state = init_state(random_tensor(3, 4, seed=2), SolverConfig())
         assert 0.0 <= contraction_factor(state) < 1.0
 
+    def test_a_tie_in_j_counts_as_on_j(self):
+        # sums (9, 12): tuple (0, 0) weighs 3/9 in row s and 4/12 in row t,
+        # an exact tie, while the next sums 9.93 and 10.20 stay apart
+        state = init_state(DenseTensor([[[2, 2], [4, 0]], [[4, 4], [2, 1]]]), SolverConfig(alpha=1))
+        value = contraction_factor(state)
+        shifted = add_identity_shift(state.tensor, state.alpha)
+        assert value == pytest.approx(contraction_factor_loops(shifted, state.sums), rel=1e-12)
+        assert value == pytest.approx(5 / 12, rel=1e-12)
+
     def test_undefined_at_constant_row_sums(self):
         state = init_state(DenseTensor(np.ones((2, 2, 2))), SolverConfig())
         with pytest.raises(ValueError, match="constant"):

@@ -1,6 +1,7 @@
 import io
 import itertools
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -578,6 +579,24 @@ class TestRandomTensor:
             random_tensor(2, 1025, seed=1)
         assert threading.active_count() == before
         assert failed_on and failed_on[0] != threading.get_ident()
+
+    def test_an_error_in_the_first_half_waits_for_the_second(self, monkeypatch):
+        fill = specrad.tensor._fill_uniform
+        finished = []
+
+        def failing(out, seed, start):
+            if start == 0:
+                raise RuntimeError("first half failed")
+            time.sleep(0.02)  # the caller's error comes first
+            fill(out, seed, start)
+            finished.append(start)
+
+        monkeypatch.setattr(specrad.tensor, "_fill_uniform", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="first half failed"):
+            random_tensor(2, 1025, seed=1)
+        assert finished == [1025**2 // 2]
+        assert threading.active_count() == before
 
     def test_mean_near_center(self):
         t = random_tensor(3, 20, seed=0)
