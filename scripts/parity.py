@@ -42,6 +42,12 @@ The corpus:
 Shapes are written ``(n, m)``: dimension, then order.  Floats of an array
 with more than ``FLOAT_CAP`` entries are summarised by its minimum, maximum
 and sum; the hash covers every byte.
+
+Golden and its file text, the sparse, empty-row and positive-matrix
+builders and the bulk/per-line parse texts come from ``tests/conftest.py``;
+the acceptance shapes and seeds from ``tests/test_acceptance.py``.  Both
+import public ``specrad`` names only, so the script runs against another
+checkout's ``src/``.  ``write`` needs pytest (``pip install -e .[test]``).
 """
 
 import argparse
@@ -84,16 +90,27 @@ from specrad.oracles import collatz_wielandt_bounds
 from specrad.solver import residual
 from specrad.tensor import MAX_ORDER, diagonal_similarity
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from conftest import (  # noqa: E402
+    PARITY_CASES,
+    SPLITLINES_ONLY,
+    empty_row_tensor,
+    golden_b,
+    golden_file_text,
+    positive_matrix,
+    sparse_tensor,
+)
+from test_acceptance import (  # noqa: E402
+    CONTRACTION_SEEDS,
+    MATRIX_SEEDS,
+    ORACLE_SEED,
+    SPARSE_SEED,
+    TABLE_SHAPES,
+    ensemble_seed,
+)
+
 FLOAT_CAP = 256
 WRITE_CAP = 20_000  # entries; larger tensors skip the file round trip
-
-GOLDEN_TEXT = "3 3\n1 2 2 3.72\n2 1 1 9.02\n3 1 1 9.55\n"
-
-
-def golden_data() -> np.ndarray:
-    data = np.zeros((3, 3, 3))
-    data[0, 1, 1], data[1, 0, 0], data[2, 0, 0] = 3.72, 9.02, 9.55
-    return data
 
 
 # ---------------------------------------------------------------- recording
@@ -213,18 +230,6 @@ def _chain(n: int, m: int, cyclic: bool) -> DenseTensor:
     return DenseTensor(data)
 
 
-def _sparse(order: int, dim: int, seed: int) -> DenseTensor:
-    rng = np.random.default_rng(seed)
-    values = rng.uniform(0.0, 10.0, size=(dim,) * order)
-    return DenseTensor(values * (rng.random(size=(dim,) * order) < 0.3))
-
-
-def _empty_row() -> DenseTensor:
-    data = np.random.default_rng(0).uniform(0.0, 10.0, size=(4, 4, 4))
-    data[0] = 0.0
-    return DenseTensor(data)
-
-
 def _small_solve_instances(seed: int):
     """The ``small_solve`` benchmark batch as ``(name, tensor)``."""
     rng = np.random.default_rng(seed)
@@ -256,19 +261,21 @@ BOTH = (1.0, 0.0)
 
 def _solver_inputs():
     """``(name, build, alphas)`` for every tensor input but golden."""
-    for n, m in ((5, 3), (10, 3), (5, 4)):
+    for n, m in TABLE_SHAPES:
         for i in range(10):
-            build = lambda m=m, n=n, s=100 * n + 10 * m + i: random_tensor(m, n, s)  # noqa: E731
+            build = lambda m=m, n=n, s=ensemble_seed(n, m, i): random_tensor(m, n, s)  # noqa: E731
             yield f"acceptance ({n},{m}) #{i}", build, (1.0,)
     for i in range(20):
-        yield f"oracle pair #{i}", lambda i=i: random_tensor(3, 5, 500 + i), (1.0,)
-    for seed in range(10):
-        yield f"positive matrix #{seed}", lambda s=seed: _positive_matrix(s), BOTH
+        yield f"oracle pair #{i}", lambda s=ORACLE_SEED + i: random_tensor(3, 5, s), (1.0,)
+    for seed in MATRIX_SEEDS:
+        yield f"positive matrix #{seed}", lambda s=seed: positive_matrix(5, s), BOTH
+    for seed in CONTRACTION_SEEDS:
         yield f"contraction (4,3) #{seed}", lambda s=seed: random_tensor(3, 4, s), (1.0,)
-    dims = np.random.default_rng(9000)
+    dims = np.random.default_rng(SPARSE_SEED)
     for i in range(100):
         dim = int(dims.integers(2, 9))
-        yield f"decider sparse #{i} (dim {dim})", lambda d=dim, i=i: _sparse(3, d, 9000 + i), (1.0,)
+        build = lambda d=dim, s=SPARSE_SEED + i: sparse_tensor(3, d, s)  # noqa: E731
+        yield f"decider sparse #{i} (dim {dim})", build, (1.0,)
     for m in (2, 3, 4):
         for n in (2, 3):
             yield f"all ones ({n},{m})", lambda n=n, m=m: DenseTensor(np.ones((n,) * m)), (1.0,)
@@ -283,7 +290,7 @@ def _solver_inputs():
                 yield f"{kind} chain ({n},{m})", lambda n=n, m=m, c=cyclic: _chain(n, m, c), BOTH
     yield "zero (3,3)", lambda: DenseTensor(np.zeros((3, 3, 3))), BOTH
     yield "zero (1,2)", lambda: DenseTensor(np.zeros((1, 1))), BOTH
-    yield "empty row (4,3)", _empty_row, BOTH
+    yield "empty row (4,3)", empty_row_tensor, BOTH
     yield "random (20,2)", lambda: random_tensor(2, 20, 1), BOTH
     yield "random (2,20)", lambda: random_tensor(20, 2, 1), (1.0,)
     yield "ones (1,MAX_ORDER)", lambda: DenseTensor(np.ones((1,) * MAX_ORDER)), BOTH
@@ -297,30 +304,10 @@ def _solver_inputs():
         yield f"scaled (10,3) by {scale!r}", lambda s=scale: DenseTensor(base * s), BOTH
 
 
-def _positive_matrix(seed: int) -> DenseTensor:
-    return DenseTensor(np.random.default_rng(seed).uniform(0.1, 10.0, size=(5, 5)))
-
-
+GOLDEN_TEXT = golden_file_text()
+SEPARATORS = [f"separator {c!r}" for c in SPLITLINES_ONLY]
 PARSE_TEXTS = {
-    # the bulk/per-line parity cases
-    "plus sign": "2 2\n+1 1 1.5\n2 +2 2.5\n",
-    "underscore index": "2 12\n1_0 1 1.5\n",
-    "full-width digit": "2 2\n\uff12 1 1.5\n",
-    "float index": "2 2\n1 1 1.0\n1.0 2 1.5\n",
-    "exponent index": "2 2\n1e0 2 1.5\n",
-    "nan value": "2 2\n1 1 1.0\n2 2 nan\n",
-    "infinity value": "2 2\n1 1 Infinity\n",
-    "negative zero": "2 2\n1 1 -0.0\n2 2 3.0\n",
-    "crlf": "2 2\r\n1 1 1.5\r\n2 2 0.25\r\n",
-    "tabs": "3 2\n1\t2\t1\t1.5\n2 1\t1 7e-3\n",
-    "blank lines": "2 2\n\n1 1 1.5\n   \n2 2 2.5\n\n\n",
-    "header only": "3 2\n",
-    "short then long": "2 2\n1 1\n2 2 1.5 7\n",
-    "duplicate on last line": "2 2\n1 1 1.5\n2 1 2.5\n1 1 3.5",
-    "comment line": "2 2\n# entries\n1 1 1.5\n",
-    "zero index": "2 2\n0 1 1.5\n",
-    "negative index": "2 2\n-1 1 1.5\n",
-    "index past the dimension": "2 2\n1 3 1.5\n",
+    **PARITY_CASES,
     # header and line errors
     "empty": "",
     "one header field": "3\n",
@@ -339,13 +326,6 @@ PARSE_TEXTS = {
     "byte-order mark in a stream": "\ufeff" + GOLDEN_TEXT,
 }
 
-# characters ``str.splitlines`` breaks at that are whitespace inside a line
-SPLITLINES_ONLY = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
-SEPARATOR_TEXTS = {
-    f"separator {c!r}": f"2 2\n1 1{c}1.0\n2 2 3.0\n" for c in SPLITLINES_ONLY
-}
-PARSE_TEXTS.update(SEPARATOR_TEXTS)
-
 # files read from a path, as bytes
 PATH_BYTES = {
     "golden": GOLDEN_TEXT.encode(),
@@ -354,7 +334,7 @@ PATH_BYTES = {
     "two byte-order marks": b"\xef\xbb\xbf" * 2 + GOLDEN_TEXT.encode(),
     "only a byte-order mark": b"\xef\xbb\xbf",
     "latin-1 byte": b"2 2\n1 1 1.5\xe9\n",
-    **{name: text.encode() for name, text in SEPARATOR_TEXTS.items()},
+    **{name: PARITY_CASES[name].encode() for name in SEPARATORS},
 }
 
 
@@ -426,7 +406,7 @@ def _cli(argv, directory: Path):
 
 def cases(directory: Path):
     """``(name, thunk)`` for the whole corpus; ``directory`` holds files."""
-    golden = DenseTensor(golden_data())
+    golden = golden_b()
     yield from tensor_cases("golden", lambda: golden, (0.0, 1.0, 2.5), (100, 5000))
     for name, build, alphas in _solver_inputs():
         yield from tensor_cases(name, build, alphas)

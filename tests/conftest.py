@@ -1,9 +1,15 @@
-"""Shared fixtures and independent test-side oracles.
+"""Shared fixtures, independent test-side oracles and the shared inputs.
 
 The helpers here recompute results with plain scalar loops so the tests
 never validate the library against its own code paths.
+
+``scripts/parity.py`` imports its golden, sparse, empty-row and
+positive-matrix builders and its parse texts from here, so each input has
+one copy.  That script may run against another checkout's ``specrad``, so
+this module imports public ``specrad`` names only.
 """
 
+import decimal
 import itertools
 
 import numpy as np
@@ -15,6 +21,13 @@ from specrad import DenseTensor, add_identity_shift
 # per-sweep bound trace (frozen below).
 GOLDEN_RHO = 5.79262
 GOLDEN_EIGENVECTOR = (0.46224, 0.57681, 0.593515)
+
+# Golden is reducible: rows 1 and 2 reach only each other and row 3 has a
+# zero diagonal, so rho**2 = 3.72 * 9.02 exactly, with both factors taken as
+# their float values.
+with decimal.localcontext() as _context:
+    _context.prec = 60
+    GOLDEN_RHO_EXACT = (decimal.Decimal(3.72) * decimal.Decimal(9.02)).sqrt()
 
 # Frozen reference trace rows (k, lower, upper, gap, midpoint), 6 significant
 # digits, k counted from 1 for the initial row sums.
@@ -78,6 +91,35 @@ def empty_row_tensor() -> DenseTensor:
 def positive_matrix(dim: int, seed: int) -> DenseTensor:
     rng = np.random.default_rng(seed)
     return DenseTensor(rng.uniform(0.1, 10.0, size=(dim, dim)))
+
+
+# characters ``str.splitlines`` breaks at that are whitespace inside a line
+SPLITLINES_ONLY = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+# tensor files the bulk and the per-line parse must read alike
+PARITY_CASES = {
+    "plus sign": "2 2\n+1 1 1.5\n2 +2 2.5\n",
+    "underscore index": "2 12\n1_0 1 1.5\n",
+    "full-width digit": "2 2\n\uff12 1 1.5\n",
+    "float index": "2 2\n1 1 1.0\n1.0 2 1.5\n",
+    "exponent index": "2 2\n1e0 2 1.5\n",
+    "nan value": "2 2\n1 1 1.0\n2 2 nan\n",
+    "infinity value": "2 2\n1 1 Infinity\n",
+    "negative zero": "2 2\n1 1 -0.0\n2 2 3.0\n",
+    "crlf": "2 2\r\n1 1 1.5\r\n2 2 0.25\r\n",
+    "tabs": "3 2\n1\t2\t1\t1.5\n2 1\t1 7e-3\n",
+    "blank lines": "2 2\n\n1 1 1.5\n   \n2 2 2.5\n\n\n",
+    "header only": "3 2\n",
+    "short then long": "2 2\n1 1\n2 2 1.5 7\n",
+    "duplicate on last line": "2 2\n1 1 1.5\n2 1 2.5\n1 1 3.5",
+    "comment line": "2 2\n# entries\n1 1 1.5\n",
+    "zero index": "2 2\n0 1 1.5\n",
+    "negative index": "2 2\n-1 1 1.5\n",
+    "index past the dimension": "2 2\n1 3 1.5\n",
+}
+PARITY_CASES.update(
+    {f"separator {c!r}": f"2 2\n1 1{c}1.0\n2 2 3.0\n" for c in SPLITLINES_ONLY}
+)
 
 
 def contract_loops(t: DenseTensor, x) -> np.ndarray:

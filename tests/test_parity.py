@@ -1,0 +1,28 @@
+"""The parity corpus still finds the inputs it shares with the suite."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from conftest import PARITY_CASES
+from test_acceptance import TABLE_SHAPES
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "parity.py"
+
+
+def test_corpus_names_cover_the_shared_inputs(tmp_path, monkeypatch):
+    # the script puts tests/ on the path; the copy is restored afterwards
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("parity", SCRIPT)
+    parity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parity)
+    # the names alone: no case runs
+    names = [name for name, _ in parity.cases(tmp_path)]
+    assert len(names) == len(set(names))
+    for key in PARITY_CASES:
+        assert f"read_tensor stream {key}" in names
+    for n, m in TABLE_SHAPES:
+        for i in range(10):
+            assert f"acceptance ({n},{m}) #{i} | build" in names
+    sparse = {name.split(" (dim")[0] for name in names if name.startswith("decider sparse #")}
+    assert sparse == {f"decider sparse #{i}" for i in range(100)}

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import specrad.tensor
 from conftest import (
     GOLDEN_EIGENVECTOR,
     GOLDEN_RHO,
+    GOLDEN_RHO_EXACT,
     GOLDEN_TRACE,
     contraction_factor_loops,
     empty_row_tensor,
@@ -204,6 +206,25 @@ class TestSolveGolden:
         assert not report.converged
         assert report.iterations == 100
         assert report.final_gap > 1e-7
+
+    @pytest.mark.parametrize(
+        "bracket, shift",
+        [
+            (lambda g: solve(g), 1),
+            (lambda g: solve(g, SolverConfig(alpha=0.0)), 0),
+            (lambda g: power_iteration(g), 0),
+            (lambda g: power_iteration(add_identity_shift(g, 1.0)), 1),
+        ],
+        ids=["solve", "solve-unshifted", "power_iteration", "power_iteration-shifted"],
+    )
+    def test_bracket_holds_the_exact_rho(self, golden, bracket, shift):
+        # the unshifted solve stops at max_iter with [3.7200000000000033, 9.01999999999999]
+        estimate = bracket(golden)
+        assert Decimal(estimate.lower) <= GOLDEN_RHO_EXACT + shift <= Decimal(estimate.upper)
+
+    def test_tight_solve_meets_the_exact_rho(self, golden):
+        rho = Decimal(solve(golden, SolverConfig(tol=1e-12)).rho)
+        assert abs(rho - GOLDEN_RHO_EXACT) <= Decimal("1e-15") * GOLDEN_RHO_EXACT
 
     def test_report_invariants(self, golden):
         for cfg in (SolverConfig(), SolverConfig(alpha=0.0), SolverConfig(alpha=2.0)):

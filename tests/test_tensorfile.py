@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specrad.tensorfile
-from conftest import golden_b, golden_file_text, sparse_tensor
+from conftest import PARITY_CASES, SPLITLINES_ONLY, golden_b, golden_file_text, sparse_tensor
 from specrad import (
     DenseTensor,
     ParseError,
@@ -24,9 +24,6 @@ from specrad import (
 )
 from specrad.tensor import MAX_ORDER
 from specrad.tensorfile import _parse_bulk, _parse_header, _parse_lines, _write_lines
-
-# characters ``str.splitlines`` breaks at that are whitespace inside a line
-SPLITLINES_ONLY = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 def roundtrip(tensor):
@@ -482,31 +479,6 @@ def outcome(reader, text):
     except ParseError as exc:
         return ("error", exc.lineno, str(exc))
     return ("tensor", t.data.shape, t.data.tobytes())
-
-
-PARITY_CASES = {
-    "plus sign": "2 2\n+1 1 1.5\n2 +2 2.5\n",
-    "underscore index": "2 12\n1_0 1 1.5\n",
-    "full-width digit": "2 2\n\uff12 1 1.5\n",
-    "float index": "2 2\n1 1 1.0\n1.0 2 1.5\n",
-    "exponent index": "2 2\n1e0 2 1.5\n",
-    "nan value": "2 2\n1 1 1.0\n2 2 nan\n",
-    "infinity value": "2 2\n1 1 Infinity\n",
-    "negative zero": "2 2\n1 1 -0.0\n2 2 3.0\n",
-    "crlf": "2 2\r\n1 1 1.5\r\n2 2 0.25\r\n",
-    "tabs": "3 2\n1\t2\t1\t1.5\n2 1\t1 7e-3\n",
-    "blank lines": "2 2\n\n1 1 1.5\n   \n2 2 2.5\n\n\n",
-    "header only": "3 2\n",
-    "short then long": "2 2\n1 1\n2 2 1.5 7\n",
-    "duplicate on last line": "2 2\n1 1 1.5\n2 1 2.5\n1 1 3.5",
-    "comment line": "2 2\n# entries\n1 1 1.5\n",
-    "zero index": "2 2\n0 1 1.5\n",
-    "negative index": "2 2\n-1 1 1.5\n",
-    "index past the dimension": "2 2\n1 3 1.5\n",
-}
-PARITY_CASES.update(
-    {f"separator {c!r}": f"2 2\n1 1{c}1.0\n2 2 3.0\n" for c in SPLITLINES_ONLY}
-)
 
 
 @pytest.mark.parametrize("text", PARITY_CASES.values(), ids=PARITY_CASES.keys())
