@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Size of the ``specrad`` package source, in three counts.
+"""Size of the ``specrad`` package source, in three counts, and of its tooling.
 
     python scripts/loc.py
 
@@ -8,7 +8,9 @@ Prints, for ``src/specrad``:
 - ``lines``: every line of every module, as ``wc -l`` counts them;
 - ``code lines``: the lines that hold a Python token, less docstrings,
   comments and blank lines;
-- ``__all__``: the number of public names the package in ``src`` exports.
+- ``__all__``: the number of public names the package in ``src`` exports;
+
+and the ``wc -l`` lines of the modules in ``scripts/`` and in ``tests/``.
 
 It only reports: no count makes it fail.
 """
@@ -19,7 +21,8 @@ import sys
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "specrad"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "specrad"
 
 # tokens that are not code: layout and comments
 _NOT_CODE = {
@@ -45,15 +48,20 @@ def _code_lines(text: str) -> int:
     return len(lines - _docstring_lines(ast.parse(text)))
 
 
+def _lines(directory: Path) -> int:
+    return sum(path.read_text(encoding="utf-8").count("\n") for path in sorted(directory.glob("*.py")))
+
+
 def main() -> int:
     sys.path.insert(0, str(PACKAGE.parent))
     import specrad
 
     texts = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
-    lines = sum(text.count("\n") for text in texts)
-    print(f"lines:      {lines}")
+    print(f"lines:      {_lines(PACKAGE)}")
     print(f"code lines: {sum(map(_code_lines, texts))}")
     print(f"__all__:    {len(specrad.__all__)}")
+    print(f"scripts/:   {_lines(ROOT / 'scripts')} lines")
+    print(f"tests/:     {_lines(ROOT / 'tests')} lines")
     return 0
 
 

@@ -43,14 +43,18 @@ Shapes are written ``(n, m)``: dimension, then order.  Floats of an array
 with more than ``FLOAT_CAP`` entries are summarised by its minimum, maximum
 and sum; the hash covers every byte.
 
-Golden and its file text, the sparse, empty-row and positive-matrix
-builders and the bulk/per-line parse texts come from ``tests/conftest.py``;
-the acceptance shapes and seeds from ``tests/test_acceptance.py``.  Both
-import public ``specrad`` names only, so the script runs against another
-checkout's ``src/``.  ``write`` needs pytest (``pip install -e .[test]``).
+Each input the suite or the benchmark also reads comes from its one home:
+golden, the sparse, empty-row, positive-matrix and chain builders, the parse
+texts, bad files, caller arrays, vector functions and out-of-range calls
+from ``tests/conftest.py``; the acceptance shapes and seeds from
+``tests/test_acceptance.py``; the ``small_solve`` instances but golden from
+``perfbench/workloads.py``.  These import only ``specrad`` names this script
+calls itself, so it runs against another checkout's ``src/``.  ``write``
+needs pytest (``pip install -e .[test]``).
 """
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import hashlib
@@ -61,7 +65,6 @@ import sys
 import tempfile
 import time
 import warnings
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -90,10 +93,16 @@ from specrad.oracles import collatz_wielandt_bounds
 from specrad.solver import residual
 from specrad.tensor import MAX_ORDER, diagonal_similarity
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
 from conftest import (  # noqa: E402
+    BAD_FILES,
+    CALLER_ARRAYS,
+    OUT_OF_RANGE,
     PARITY_CASES,
     SPLITLINES_ONLY,
+    VECTOR_FUNCTIONS,
+    chain,
     empty_row_tensor,
     golden_b,
     golden_file_text,
@@ -108,6 +117,7 @@ from test_acceptance import (  # noqa: E402
     TABLE_SHAPES,
     ensemble_seed,
 )
+from workloads import SmallSolve  # noqa: E402
 
 FLOAT_CAP = 256
 WRITE_CAP = 20_000  # entries; larger tensors skip the file round trip
@@ -220,36 +230,6 @@ def _round_trip(t: DenseTensor):
     return text, read_tensor(io.StringIO(text)) == t
 
 
-def _chain(n: int, m: int, cyclic: bool) -> DenseTensor:
-    """Row ``i`` has one positive entry, at ``(i, i+1, ..., i+1)``; the open
-    chain leaves its last row empty."""
-    data = np.zeros((n,) * m)
-    rows = np.arange(n if cyclic else n - 1)
-    values = np.random.default_rng(100 * n + m).uniform(0.5, 10.0, size=rows.size)
-    data[(rows,) + ((rows + 1) % n,) * (m - 1)] = values
-    return DenseTensor(data)
-
-
-def _small_solve_instances(seed: int):
-    """The ``small_solve`` benchmark batch as ``(name, tensor)``."""
-    rng = np.random.default_rng(seed)
-    out = [(f"ones ({n},{m})", DenseTensor(np.ones((n,) * m))) for n, m in ONES_SHAPES]
-    for n, m in ((5, 3), (10, 3), (5, 4), (5, 2)):
-        for i in range(10):
-            data = rng.uniform(0.0, 10.0, size=(n,) * m)
-            out.append((f"dense ({n},{m}) #{i}", DenseTensor(data)))
-    fixed = np.random.default_rng(0)
-    for i in range(51):
-        dim = 4 + i % 7 if i < 50 else 4
-        values = fixed.uniform(0.0, 10.0, size=(dim,) * 3)
-        values *= fixed.random(size=(dim,) * 3) < 0.3
-        if i == 50:
-            values[0] = 0.0
-        out.append((f"sparse #{i}", DenseTensor(values)))
-    return out
-
-
-ONES_SHAPES = ((2, 3), (3, 3), (4, 3), (3, 4))
 CHAIN_DIMS = {  # order: dimensions
     2: (2, 3, 5, 10, 20, 40, 80, 200),
     3: (2, 3, 5, 10, 20, 40, 80),
@@ -280,14 +260,22 @@ def _solver_inputs():
         for n in (2, 3):
             yield f"all ones ({n},{m})", lambda n=n, m=m: DenseTensor(np.ones((n,) * m)), (1.0,)
     for seed in (1, 2, 3):
-        for name, t in _small_solve_instances(seed):
-            # only the dense draws depend on the seed
-            if seed == 1 or name.startswith("dense"):
-                yield f"small_solve seed {seed} {name}", lambda t=t: t, BOTH
+        workload = SmallSolve(seed, False, None)
+        workload.build()
+        seen = collections.Counter()
+        for kind, t, _ in workload.instances:
+            # golden has its own cases; only the dense draws depend on the seed
+            if kind == "golden" or (seed > 1 and kind != "dense"):
+                continue
+            name = kind if kind == "sparse" else f"{kind} ({t.dim},{t.order})"
+            if kind != "ones":
+                seen[name] += 1
+                name += f" #{seen[name] - 1}"
+            yield f"small_solve seed {seed} {name}", lambda t=t: t, BOTH
     for m, dims in CHAIN_DIMS.items():
         for n in dims:
             for cyclic, kind in ((True, "cyclic"), (False, "open")):
-                yield f"{kind} chain ({n},{m})", lambda n=n, m=m, c=cyclic: _chain(n, m, c), BOTH
+                yield f"{kind} chain ({n},{m})", lambda n=n, m=m, c=cyclic: chain(n, m, c), BOTH
     yield "zero (3,3)", lambda: DenseTensor(np.zeros((3, 3, 3))), BOTH
     yield "zero (1,2)", lambda: DenseTensor(np.zeros((1, 1))), BOTH
     yield "empty row (4,3)", empty_row_tensor, BOTH
@@ -308,19 +296,8 @@ GOLDEN_TEXT = golden_file_text()
 SEPARATORS = [f"separator {c!r}" for c in SPLITLINES_ONLY]
 PARSE_TEXTS = {
     **PARITY_CASES,
-    # header and line errors
-    "empty": "",
-    "one header field": "3\n",
-    "text header": "a b\n",
-    "order 1": "1 3\n",
-    "dimension 0": "2 0\n",
-    "entry cap": "3 100000\n",
-    "huge order": "20000000 1000\n",
+    **{name: text for name, (text, _) in BAD_FILES.items()},
     "order cap": f"{MAX_ORDER} 1\n",
-    "past the order cap": f"{MAX_ORDER + 1} 1\n",
-    "bad value": "2 2\n1 1 abc\n",
-    "negative value": "2 2\n1 1 -3.0\n",
-    "overflowing value": "2 2\n1 1 1e400\n",
     "overflowing row sum": "2 2\n1 1 1e308\n1 2 1e308\n2 2 1\n",
     "golden": GOLDEN_TEXT,
     "byte-order mark in a stream": "\ufeff" + GOLDEN_TEXT,
@@ -343,54 +320,7 @@ def _read_path(path: Path, data: bytes):
     return read_tensor(path)
 
 
-# caller arrays as 2x2 tensors; row 0 of each is the vector form
-ARRAYS = {
-    "complex ndarray": lambda: np.array([[1 + 2j, 0], [0, 1]]),
-    "complex list": lambda: [[1 + 0j, 0], [0, 1]],
-    "str list": lambda: [[1, "2"], [0, 1]],
-    "bytes list": lambda: [[b"1", b"2"], [b"0", b"1"]],
-    "datetime64": lambda: np.array([[1, 2], [0, 1]], dtype="datetime64[s]"),
-    "timedelta64": lambda: np.array([[1, 2], [0, 1]], dtype="timedelta64[s]"),
-    "object complex": lambda: np.array([[1 + 2j, 0], [0, 1]], dtype=object),
-    "object str": lambda: np.array([[1, "2"], [0, 1]], dtype=object),
-    "object bytes": lambda: np.array([[1, b"2"], [0, 1]], dtype=object),
-    "object Fraction": lambda: np.array([[Fraction(1, 2), 0], [0, 1]], dtype=object),
-    "object floats": lambda: np.array([[0.5, 2.0], [1.0, 1.0]], dtype=object),
-    "list with 10**400": lambda: [[10**400, 1], [0, 1]],
-    "list with 2**64": lambda: [[2**64, 1], [0, 1]],
-    "list with 2**63": lambda: [[2**63, 1], [0, 1]],
-    "bool": lambda: np.array([[True, True], [False, True]]),
-    "int64": lambda: np.array([[1, 3], [0, 2]]),
-    "uint8": lambda: np.array([[2, 1], [0, 255]], dtype=np.uint8),
-    "float16": lambda: np.array([[0.5, 2.0], [1.0, 3.0]], dtype=np.float16),
-    "float32": lambda: np.array([[0.1, 2.0], [1.0, 3.0]], dtype=np.float32),
-    "longdouble": lambda: np.array([[0.1, 2.0], [1.0, 3.0]], dtype=np.longdouble),
-    "float list": lambda: [[0.5, 2.0], [1.0, 1.0]],
-    "numpy scalars": lambda: [[np.float64(0.5), np.int32(2)], [np.uint8(1), np.bool_(True)]],
-    "Fortran order": lambda: np.asfortranarray([[0.5, 2.0], [1.0, 1.0]]),
-    "nan": lambda: [[np.nan, 1.0], [0.0, 1.0]],
-    "negative": lambda: [[-1.0, 1.0], [0.0, 1.0]],
-}
-
-VECTOR_FUNCTIONS = {
-    "contract": contract,
-    "diagonal_similarity": diagonal_similarity,
-    "collatz_wielandt_bounds": collatz_wielandt_bounds,
-    "residual": lambda a, x: residual(a, 2.0, x),
-}
-
 NUMBERS = (0.0, 1.0, 2.5, -1.0, math.inf, -math.inf, math.nan, 1e308, 5e-324)
-
-# vector functions whose ratio or defect leaves the float range
-OUT_OF_RANGE = {
-    "collatz_wielandt_bounds ones (2,3) at [1e-200, 1e-200]": (
-        lambda: collatz_wielandt_bounds(DenseTensor(np.ones((2, 2, 2))), [1e-200, 1e-200])
-    ),
-    "collatz_wielandt_bounds ones (2,3) at [1e-200, 1.0]": (
-        lambda: collatz_wielandt_bounds(DenseTensor(np.ones((2, 2, 2))), [1e-200, 1.0])
-    ),
-    "residual [[1.0]] at 1e308, [2.0]": lambda: residual(DenseTensor([[1.0]]), 1e308, [2.0]),
-}
 
 
 def _cli(argv, directory: Path):
@@ -415,11 +345,11 @@ def cases(directory: Path):
     for name, data in PATH_BYTES.items():
         yield f"read_tensor path {name}", lambda d=data: _read_path(directory / "read.txt", d)
     square = DenseTensor([[1.0, 2.0], [3.0, 0.5]])
-    for name, make in ARRAYS.items():
+    for name, make in CALLER_ARRAYS.items():
         yield f"DenseTensor {name}", lambda f=make: DenseTensor(f())
         for fn_name, fn in VECTOR_FUNCTIONS.items():
             yield f"{fn_name} {name}", lambda f=make, fn=fn: fn(square, f()[0])
-    for name, thunk in OUT_OF_RANGE.items():
+    for name, (thunk, _) in OUT_OF_RANGE.items():
         yield name, thunk
     for alpha in NUMBERS:
         yield f"add_identity_shift {alpha!r}", lambda a=alpha: add_identity_shift(golden, a)

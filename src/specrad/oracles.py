@@ -83,7 +83,7 @@ def power_iteration(
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    if not isinstance(max_iter, numbers.Integral) or max_iter < 0:
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:
         raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     max_iter = int(max_iter)
     rows, m = a._rows, a.order

@@ -64,7 +64,7 @@ class SolverConfig:
             raise ValueError(f"alpha must be finite and nonnegative, got {self.alpha}")
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 

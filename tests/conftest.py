@@ -3,19 +3,26 @@
 The helpers here recompute results with plain scalar loops so the tests
 never validate the library against its own code paths.
 
-``scripts/parity.py`` imports its golden, sparse, empty-row and
-positive-matrix builders and its parse texts from here, so each input has
-one copy.  That script may run against another checkout's ``specrad``, so
-this module imports public ``specrad`` names only.
+``scripts/parity.py`` imports from here every input it shares with the
+suite, so each has one copy: golden, the sparse, empty-row, positive-matrix
+and chain builders, the parse texts and bad files, the caller arrays, the
+vector functions and the out-of-range vector calls.  It takes the
+``small_solve`` instances from ``perfbench/workloads.py`` instead.  That
+script may run against another checkout's ``specrad``, so this module
+imports only names the script calls itself.
 """
 
 import decimal
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from specrad import DenseTensor, add_identity_shift
+from specrad import DenseTensor, add_identity_shift, contract
+from specrad.oracles import collatz_wielandt_bounds
+from specrad.solver import residual
+from specrad.tensor import diagonal_similarity
 
 # Golden 3x3x3 regression tensor: known spectral radius, eigenvector and
 # per-sweep bound trace (frozen below).
@@ -73,11 +80,12 @@ def sparse_tensor(order: int, dim: int, seed: int, density: float = 0.3) -> Dens
 
 
 def chain(n: int, m: int, cyclic: bool) -> DenseTensor:
-    """Row ``i`` is positive only at ``(i, i+1, ..., i+1)``; the open chain
-    leaves the last row empty."""
+    """Row ``i`` is positive only at ``(i, i+1, ..., i+1)``, with a seeded
+    value in ``[0.5, 10)``; the open chain leaves the last row empty."""
     data = np.zeros((n,) * m)
     rows = np.arange(n if cyclic else n - 1)
-    data[(rows,) + ((rows + 1) % n,) * (m - 1)] = 1.0
+    values = np.random.default_rng(100 * n + m).uniform(0.5, 10.0, size=rows.size)
+    data[(rows,) + ((rows + 1) % n,) * (m - 1)] = values
     return DenseTensor(data)
 
 
@@ -120,6 +128,86 @@ PARITY_CASES = {
 PARITY_CASES.update(
     {f"separator {c!r}": f"2 2\n1 1{c}1.0\n2 2 3.0\n" for c in SPLITLINES_ONLY}
 )
+
+
+# tensor files ``read_tensor`` rejects: text and the exact ParseError message
+BAD_FILES = {
+    "empty": ("", "line 1: empty file, expected header 'm n'"),
+    "one header field": ("3\n", "line 1: expected header 'm n' with two integers, got '3'"),
+    "text header": ("a b\n", "line 1: header fields must be integers, got 'a b'"),
+    "order 1": ("1 3\n", "line 1: order must be between 2 and the cap of 25, got 1"),
+    "dimension 0": ("2 0\n", "line 1: dimension must be >= 1, got 0"),
+    "entry cap": ("3 100000\n", "line 1: 100000**3 entries exceed the cap of 50000000"),
+    # 1000**20000000 has 60 million digits; the order cap comes first
+    "huge order": ("20000000 1000\n", "line 1: order must be between 2 and the cap of 25, got 20000000"),
+    "past the order cap": ("26 1\n", "line 1: order must be between 2 and the cap of 25, got 26"),
+    "bad value": ("2 2\n1 1 abc\n", "line 2: bad value field 'abc'"),
+    "negative value": ("2 2\n1 1 -3.0\n", "line 2: value must be nonnegative, got -3.0"),
+    "overflowing value": ("2 2\n1 1 1e400\n", "line 2: value must be finite, got 1e400"),
+}
+
+# Caller arrays as 2x2 tensors; row 0 of each is the vector form.  The one
+# dtype rule rejects the NOT_REAL ones: a float cast would keep only the real
+# part, with a warning at most, parse a string, count the seconds of a date,
+# round a Fraction or overflow on a Python int beyond the float range; an
+# object array is rejected whatever it holds.
+NOT_REAL = {
+    "complex ndarray": lambda: np.array([[1 + 2j, 0], [0, 1]]),
+    "complex list": lambda: [[1 + 0j, 0], [0, 1]],
+    "str list": lambda: [[1, "2"], [0, 1]],
+    "bytes list": lambda: [[b"1", b"2"], [b"0", b"1"]],
+    "datetime64": lambda: np.array([[1, 2], [0, 1]], dtype="datetime64[s]"),
+    "timedelta64": lambda: np.array([[1, 2], [0, 1]], dtype="timedelta64[s]"),
+    "object complex": lambda: np.array([[1 + 2j, 0], [0, 1]], dtype=object),
+    "object str": lambda: np.array([[1, "2"], [0, 1]], dtype=object),
+    "object bytes": lambda: np.array([[1, b"2"], [0, 1]], dtype=object),
+    "object Fraction": lambda: np.array([[Fraction(1, 2), 0], [0, 1]], dtype=object),
+    "object floats": lambda: np.array([[0.5, 2.0], [1.0, 1.0]], dtype=object),
+    "list with 10**400": lambda: [[10**400, 1], [0, 1]],
+    "list with 2**64": lambda: [[2**64, 1], [0, 1]],
+}
+CALLER_ARRAYS = {
+    **NOT_REAL,
+    "list with 2**63": lambda: [[2**63, 1], [0, 1]],
+    "bool": lambda: np.array([[True, True], [False, True]]),
+    "int64": lambda: np.array([[1, 3], [0, 2]]),
+    "uint8": lambda: np.array([[2, 1], [0, 255]], dtype=np.uint8),
+    "float16": lambda: np.array([[0.5, 2.0], [1.0, 3.0]], dtype=np.float16),
+    "float32": lambda: np.array([[0.1, 2.0], [1.0, 3.0]], dtype=np.float32),
+    "longdouble": lambda: np.array([[0.1, 2.0], [1.0, 3.0]], dtype=np.longdouble),
+    "float list": lambda: [[0.5, 2.0], [1.0, 1.0]],
+    "numpy scalars": lambda: [[np.float64(0.5), np.int32(2)], [np.uint8(1), np.bool_(True)]],
+    "Fortran order": lambda: np.asfortranarray([[0.5, 2.0], [1.0, 1.0]]),
+    "nan": lambda: [[np.nan, 1.0], [0.0, 1.0]],
+    "negative": lambda: [[-1.0, 1.0], [0.0, 1.0]],
+}
+
+# every public function that takes a length-n vector from its caller
+VECTOR_FUNCTIONS = {
+    "contract": contract,
+    "diagonal_similarity": diagonal_similarity,
+    "collatz_wielandt_bounds": collatz_wielandt_bounds,
+    "residual": lambda a, x: residual(a, 2.0, x),
+}
+
+# Vector arguments whose contraction is finite but whose ratio or defect
+# leaves the float range: x**(m-1) underflows (a 0/0 and a finite/0 ratio) or
+# value * v**(m-1) overflows.  Each call with its exact ValueError message.
+_RATIO = "row 1 of the ratio is not finite; x**(m-1) leaves the float range"
+OUT_OF_RANGE = {
+    "collatz_wielandt_bounds ones (2,3) at [1e-200, 1e-200]": (
+        lambda: collatz_wielandt_bounds(DenseTensor(np.ones((2, 2, 2))), [1e-200, 1e-200]),
+        _RATIO,
+    ),
+    "collatz_wielandt_bounds ones (2,3) at [1e-200, 1.0]": (
+        lambda: collatz_wielandt_bounds(DenseTensor(np.ones((2, 2, 2))), [1e-200, 1.0]),
+        _RATIO,
+    ),
+    "residual [[1.0]] at 1e308, [2.0]": (
+        lambda: residual(DenseTensor([[1.0]]), 1e308, [2.0]),
+        "row 1 of the defect is not finite; scale the value or the vector down",
+    ),
+}
 
 
 def contract_loops(t: DenseTensor, x) -> np.ndarray:

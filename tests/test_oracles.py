@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import specrad.oracles
-from conftest import empty_row_tensor, golden_b, identity_tensor
+from conftest import chain, empty_row_tensor, golden_b, identity_tensor
 from specrad import (
     DenseTensor,
     SolverConfig,
@@ -40,15 +40,6 @@ def power_iteration_two_contractions(a, tol=1e-9, max_iter=10_000):
         lower, upper = collatz_wielandt_bounds(a, nxt)
         x = nxt
     return lower, upper, x, iterations, upper - lower <= tol
-
-
-def weighted_cycle(n: int) -> DenseTensor:
-    """Cyclic chain ``a[i, i+1, i+1] = i + 1`` (indices mod ``n``): irreducible
-    but not primitive, so power iteration cycles without converging."""
-    data = np.zeros((n, n, n))
-    rows = np.arange(n)
-    data[rows, (rows + 1) % n, (rows + 1) % n] = rows + 1.0
-    return DenseTensor(data)
 
 
 CYCLE_MAX_ITERS = [1, 2, 3, 4, 5, 8, 9, 9999, 10000, 10001]
@@ -128,6 +119,7 @@ class TestPowerIteration:
         estimate = power_iteration(add_identity_shift(golden, 1.0), tol=1e-15, max_iter=3)
         assert estimate.iterations == 3
         assert not estimate.converged
+        assert power_iteration(golden, max_iter=np.int64(2)).iterations == 2
 
     def test_stops_where_the_solver_stops(self):
         # row 1 holds only a[1,1,1], so its shifted ratio is 2.939 at every
@@ -188,7 +180,9 @@ class TestPowerIteration:
 
     @pytest.mark.parametrize("max_iter", CYCLE_MAX_ITERS)
     @pytest.mark.parametrize(
-        "a", [golden_b(), weighted_cycle(3), weighted_cycle(4)], ids=["golden", "cycle-3", "cycle-4"]
+        "a",
+        [golden_b(), chain(3, 3, cyclic=True), chain(4, 3, cyclic=True)],
+        ids=["golden", "cycle-3", "cycle-4"],
     )
     def test_skipped_cycles_match_the_full_run(self, a, max_iter):
         # none of these close at alpha=0: each run ends at max_iter, after
@@ -220,7 +214,7 @@ class TestPowerIteration:
             assert estimate.iterations == max_iter and not estimate.converged
             assert len(calls) == contractions
 
-    @pytest.mark.parametrize("max_iter", [-1, 1.5, 1e4, "10", None])
+    @pytest.mark.parametrize("max_iter", [-1, 1.5, 1e4, "10", None, True, False, np.True_])
     def test_rejects_a_max_iter_that_is_not_a_nonnegative_integer(self, golden, max_iter):
         with pytest.raises(ValueError, match="max_iter"):
             power_iteration(golden, max_iter=max_iter)

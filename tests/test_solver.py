@@ -62,6 +62,14 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="max_iter"):
             SolverConfig(max_iter=2.5)
 
+    @pytest.mark.parametrize("max_iter", [True, False, np.True_])
+    def test_a_bool_is_not_a_sweep_count(self, max_iter):
+        with pytest.raises(ValueError, match=r"^max_iter must be an integer >= 1, got "):
+            SolverConfig(max_iter=max_iter)
+
+    def test_a_numpy_integer_is_a_sweep_count(self, golden):
+        assert solve(golden, SolverConfig(max_iter=np.int64(2))).iterations == 2
+
 
 class TestInitState:
     def test_golden_initial_bounds(self):
