@@ -36,8 +36,9 @@ The corpus:
 - caller arrays of every dtype, as tensors and as vector arguments, and
   vector arguments whose ratio or defect leaves the float range;
 - superdiagonal shifts and solver configurations, finite or not;
-- the CLI on golden: ``solve`` with its flags, ``check`` and ``random``,
-  both with an empty output path, and ``random`` into a missing directory.
+- every CLI case of the suite, each run in a fresh subdirectory of the
+  temporary directory: its exit code, stdout, stderr and the text of each
+  file it writes.
 
 Shapes are written ``(n, m)``: dimension, then order.  Floats of an array
 with more than ``FLOAT_CAP`` entries are summarised by its minimum, maximum
@@ -45,12 +46,12 @@ and sum; the hash covers every byte.
 
 Each input the suite or the benchmark also reads comes from its one home:
 golden, the sparse, empty-row, positive-matrix and chain builders, the parse
-texts, bad files, caller arrays, vector functions and out-of-range calls
-from ``tests/conftest.py``; the acceptance shapes and seeds from
-``tests/test_acceptance.py``; the ``small_solve`` instances but golden from
-``perfbench/workloads.py``.  These import only ``specrad`` names this script
-calls itself, so it runs against another checkout's ``src/``.  ``write``
-needs pytest (``pip install -e .[test]``).
+texts, bad files, CLI cases and their input files, caller arrays, vector
+functions and out-of-range calls from ``tests/conftest.py``; the acceptance
+shapes and seeds from ``tests/test_acceptance.py``; the ``small_solve``
+instances but golden from ``perfbench/workloads.py``.  These import only
+``specrad`` names this script calls itself, so it runs against another
+checkout's ``src/``.  ``write`` needs pytest (``pip install -e .[test]``).
 """
 
 import argparse
@@ -61,6 +62,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 import tempfile
 import time
@@ -98,6 +100,8 @@ sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
 from conftest import (  # noqa: E402
     BAD_FILES,
     CALLER_ARRAYS,
+    CLI_CASES,
+    CLI_FILES,
     OUT_OF_RANGE,
     PARITY_CASES,
     SPLITLINES_ONLY,
@@ -324,14 +328,22 @@ NUMBERS = (0.0, 1.0, 2.5, -1.0, math.inf, -math.inf, math.nan, 1e308, 5e-324)
 
 
 def _cli(argv, directory: Path):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli_main(argv)
-    trace = directory / "trace.csv"
-    csv = trace.read_text() if trace.exists() else None
-    trace.unlink(missing_ok=True)
-    # an error may name a file in the temporary directory
-    return code, out.getvalue(), err.getvalue().replace(str(directory), "<dir>"), csv
+    """Exit code, stdout, stderr and the written files of ``argv`` run in ``directory``."""
+    directory.mkdir()
+    home = os.getcwd()
+    os.chdir(directory)
+    try:
+        for name in argv:
+            if name in CLI_FILES:
+                CLI_FILES[name](name)
+        inputs = set(os.listdir())
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(argv)
+        written = [(name, Path(name).read_text()) for name in sorted(set(os.listdir()) - inputs)]
+    finally:
+        os.chdir(home)
+    return code, out.getvalue(), err.getvalue(), written
 
 
 def cases(directory: Path):
@@ -358,27 +370,9 @@ def cases(directory: Path):
     for max_iter in (0, 1, 2.0, -1, True):
         yield f"SolverConfig max_iter={max_iter!r}", lambda k=max_iter: SolverConfig(max_iter=k)
     yield "write_trace_csv golden", lambda: _trace_text(solve(golden).trace)
-    path = directory / "golden.txt"
-    path.write_text(GOLDEN_TEXT)
-    trace = str(directory / "trace.csv")
-    missing = str(directory / "missing" / "x.txt")
-    for argv in (
-        ["solve", str(path)],
-        ["solve", str(path), "--alpha", "0", "--oracle"],
-        ["solve", str(path), "--alpha", "2.5", "--normalize", "--trace-csv", trace],
-        ["solve", str(path), "--alpha", "0", "--max-iter", "5000", "--trace-csv", trace],
-        ["solve", str(path), "--max-iter", "3", "--tol", "1e-3"],
-        ["solve", str(path), "--alpha", "inf"],
-        ["check", str(path)],
-        ["random", "--m", "3", "--n", "4", "--seed", "7"],
-        ["random", "--m", str(MAX_ORDER + 1), "--n", "1"],
-        ["solve", str(path), "--trace-csv", ""],
-        ["random", "--m", "2", "--n", "2", "--out", ""],
-        ["random", "--m", "3", "--n", "5", "--out", missing],
-    ):
-        names = {str(path): "golden.txt", "": '""', missing: "missing/x.txt"}
-        label = " ".join(names.get(a, a) for a in argv if a != trace)
-        yield f"cli {label}", lambda a=argv: _cli(a, directory)
+    for index, case in enumerate(CLI_CASES):
+        argv = case.values[0]
+        yield f"cli {case.id}", lambda a=argv, d=directory / f"cli {index}": _cli(a, d)
 
 
 def _trace_text(trace) -> str:

@@ -5,21 +5,23 @@ never validate the library against its own code paths.
 
 ``scripts/parity.py`` imports from here every input it shares with the
 suite, so each has one copy: golden, the sparse, empty-row, positive-matrix
-and chain builders, the parse texts and bad files, the caller arrays, the
-vector functions and the out-of-range vector calls.  It takes the
-``small_solve`` instances from ``perfbench/workloads.py`` instead.  That
-script may run against another checkout's ``specrad``, so this module
-imports only names the script calls itself.
+and chain builders, the parse texts and bad files, the CLI cases and their
+input files, the caller arrays, the vector functions and the out-of-range
+vector calls.  It takes the ``small_solve`` instances from
+``perfbench/workloads.py`` instead.  That script may run against another
+checkout's ``specrad``, so this module imports only names the script calls
+itself.
 """
 
 import decimal
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from specrad import DenseTensor, add_identity_shift, contract
+from specrad import DenseTensor, add_identity_shift, contract, random_tensor, write_tensor
 from specrad.oracles import collatz_wielandt_bounds
 from specrad.solver import residual
 from specrad.tensor import diagonal_similarity
@@ -130,20 +132,32 @@ PARITY_CASES.update(
 )
 
 
-# tensor files ``read_tensor`` rejects: text and the exact ParseError message
+# tensor files ``read_tensor`` rejects: text and the exact ParseError message;
+# a header message quotes the line without its terminator
 BAD_FILES = {
     "empty": ("", "line 1: empty file, expected header 'm n'"),
+    "blank header": ("\n", "line 1: expected header 'm n' with two integers, got ''"),
     "one header field": ("3\n", "line 1: expected header 'm n' with two integers, got '3'"),
+    "one header field, crlf": ("3\r\n1 1 1.0\r\n", "line 1: expected header 'm n' with two integers, got '3'"),
+    "three header fields, cr": ("2 2 2\r", "line 1: expected header 'm n' with two integers, got '2 2 2'"),
     "text header": ("a b\n", "line 1: header fields must be integers, got 'a b'"),
+    "text header, then an entry": ("a b\n1 1 1.0\n", "line 1: header fields must be integers, got 'a b'"),
+    # a path drops one leading byte-order mark, a stream none
+    "marked header": ("\ufeff2 2\n", "line 1: header fields must be integers, got '\\ufeff2 2'"),
     "order 1": ("1 3\n", "line 1: order must be between 2 and the cap of 25, got 1"),
     "dimension 0": ("2 0\n", "line 1: dimension must be >= 1, got 0"),
     "entry cap": ("3 100000\n", "line 1: 100000**3 entries exceed the cap of 50000000"),
     # 1000**20000000 has 60 million digits; the order cap comes first
     "huge order": ("20000000 1000\n", "line 1: order must be between 2 and the cap of 25, got 20000000"),
     "past the order cap": ("26 1\n", "line 1: order must be between 2 and the cap of 25, got 26"),
+    "short line": ("2 2\n1 1\n", "line 2: expected 2 indices and a value, got 2 fields"),
+    "text index": ("2 2\nx 1 1.0\n", "line 2: indices must be integers: 'x 1 1.0'"),
+    "index out of range": ("2 2\n1 1 1.0\n1 3 2.0\n", "line 3: index 3 out of range 1..2"),
     "bad value": ("2 2\n1 1 abc\n", "line 2: bad value field 'abc'"),
     "negative value": ("2 2\n1 1 -3.0\n", "line 2: value must be nonnegative, got -3.0"),
+    "infinite value": ("2 2\n1 1 inf\n", "line 2: value must be finite, got inf"),
     "overflowing value": ("2 2\n1 1 1e400\n", "line 2: value must be finite, got 1e400"),
+    "duplicate tuple": ("2 2\n1 1 3.0\n2 1 4.0\n1 1 5.0\n", "line 4: duplicate index tuple (1, 1)"),
 }
 
 # Caller arrays as 2x2 tensors; row 0 of each is the vector form.  The one
@@ -208,6 +222,148 @@ OUT_OF_RANGE = {
         "row 1 of the defect is not finite; scale the value or the vector down",
     ),
 }
+
+
+def _by_text(text):
+    return lambda name: Path(name).write_text(text)
+
+
+# The input files of the CLI cases, each written into the working directory
+# by the case whose argv names it.
+CLI_FILES = {
+    "t.txt": lambda name: write_tensor(random_tensor(3, 30, 1), name),
+    # dense order 16: the irreducibility walk over 2**15 index tuples
+    "hi.txt": lambda name: write_tensor(random_tensor(16, 2, 1), name),
+    # the order cap is 25 on every numpy, the 1.23 floor included
+    "deep.txt": lambda name: write_tensor(random_tensor(25, 1, 0), name),
+    "chain_cyclic.txt": lambda name: write_tensor(chain(40, 3, cyclic=True), name),
+    "chain_open.txt": lambda name: write_tensor(chain(40, 3, cyclic=False), name),
+    # a bad value and a repeated tuple: the bulk pass rejects both, the
+    # per-line pass names the line
+    "nan.txt": _by_text("2 2\n1 1 1.5\n2 1 nan\n"),
+    "dup.txt": _by_text("2 2\n1 1 1.5\n1 1 2.5\n"),
+    # cyclic chain a[i, i+1, i+1] = i: the oracle cycles, so it skips to its cap
+    "cycle.txt": _by_text("3 3\n1 2 2 1\n2 3 3 2\n3 1 1 3\n"),
+    "golden.txt": _by_text(golden_file_text()),
+    "diag.txt": _by_text("3 3\n1 1 1 1.0\n2 2 2 1.0\n3 3 3 1.0\n"),
+    "zero_row.txt": _by_text("2 2\n2 1 1.0\n"),
+    "bad.txt": _by_text("nope\n"),
+    "huge.txt": _by_text("20000000 1000\n"),
+    "too_deep.txt": _by_text("26 1\n"),
+}
+
+
+def _case(argv, code, expected, written=None):
+    label = " ".join(arg or '""' for arg in argv)
+    return pytest.param(argv, code, expected, written or {}, id=label)
+
+
+_GOLDEN_REPORT = (
+    "rho = 5.79262\nrho_shifted = 6.79262\nbounds = [6.79262, 6.79262]\n"
+    "gap = 9.51629e-08\niterations = 51\nconverged = yes\n"
+)
+_ORDER_CAP = "order must be between 2 and the cap of 25, got"
+
+# The CLI cases: argv, exit code, expected text (in stderr for exit 1, else
+# in stdout), and the files the command writes with the text each starts
+# with.  ``tests/test_cli.py`` asserts them; ``scripts/parity.py`` records
+# each outcome.
+CLI_CASES = [
+    _case(["solve", "t.txt"], 0, "converged = yes"),
+    _case(["solve", "--oracle", "t.txt"], 0, "oracle bracket = [4490.98, 4490.98]"),
+    _case(["solve", "--alpha", "0", "t.txt"], 0, "rho_shifted = 4489.98"),
+    _case(
+        ["solve", "--trace-csv", "tr.csv", "--normalize", "t.txt"],
+        0,
+        ", 1, ",
+        {"tr.csv": "k,r,R,gap,mid\n"},
+    ),
+    _case(["check", "t.txt"], 0, "irreducible"),
+    _case(["check", "hi.txt"], 0, "irreducible"),
+    _case(["solve", "deep.txt"], 0, "converged = yes"),
+    _case(["check", "deep.txt"], 0, "irreducible"),
+    _case(["check", "chain_cyclic.txt"], 0, "irreducible"),
+    _case(["check", "chain_open.txt"], 3, "reducible, witness I = {2,3,"),
+    *(
+        _case([verb, name], 1, expected)
+        for verb in ("solve", "check")
+        for name, expected in (
+            ("nan.txt", "error: line 3: value must be finite, got nan\n"),
+            ("dup.txt", "error: line 3: duplicate index tuple (1, 1)\n"),
+        )
+    ),
+    _case(["solve", "--alpha", "0", "--oracle", "cycle.txt"], 2, "10000 iterations, not converged"),
+    _case(["solve", "golden.txt"], 0, _GOLDEN_REPORT),
+    _case(
+        ["solve", "golden.txt", "--alpha", "0"],
+        2,
+        "rho = 6.37\nrho_shifted = 6.37\nbounds = [3.72, 9.02]\ngap = 5.3\n"
+        "iterations = 100\nconverged = no\n",
+    ),
+    _case(
+        ["solve", "golden.txt", "--alpha", "0", "--oracle"],
+        2,
+        "oracle bracket = [3.72, 9.02] (mid 6.37, 10000 iterations, not converged)\n",
+    ),
+    _case(
+        ["solve", "golden.txt", "--oracle"],
+        0,
+        "oracle bracket = [6.79262, 6.79262] (mid 6.79262, 65 iterations, converged)\n",
+    ),
+    _case(
+        ["solve", "golden.txt", "--trace-csv", "tr.csv"],
+        0,
+        _GOLDEN_REPORT,
+        {"tr.csv": "k,r,R,gap,mid\n1,4.72,10.55,5.83,7.635\n2,5.24894,8.89712,3.64818,7.07303\n"},
+    ),
+    _case(
+        ["solve", "golden.txt", "--alpha", "2.5", "--normalize", "--trace-csv", "tr.csv"],
+        0,
+        "eigenvector = [0.778817, 0.971855, 1]\n",
+        {"tr.csv": "k,r,R,gap,mid\n1,6.22,12.05,5.83,9.135\n"},
+    ),
+    _case(
+        ["solve", "golden.txt", "--alpha", "0", "--max-iter", "5000", "--trace-csv", "tr.csv"],
+        2,
+        "iterations = 5000\nconverged = no\n",
+        {"tr.csv": "k,r,R,gap,mid\n1,3.72,9.55,5.83,6.635\n"},
+    ),
+    _case(["solve", "golden.txt", "--max-iter", "3"], 2, "iterations = 3\nconverged = no\n"),
+    _case(
+        ["solve", "golden.txt", "--max-iter", "3", "--tol", "1e-3"],
+        2,
+        "gap = 1.78366\niterations = 3\nconverged = no\n",
+    ),
+    _case(["solve", "golden.txt", "--alpha", "inf"], 1, "error: alpha must be finite and nonnegative, got inf\n"),
+    _case(["solve", "nope.txt"], 1, "error: [Errno 2] No such file or directory: 'nope.txt'\n"),
+    _case(
+        ["solve", "--alpha", "0", "zero_row.txt"],
+        1,
+        "error: row 1 of the shifted tensor has zero row sum; use a positive alpha or remove zero rows\n",
+    ),
+    _case(["check", "golden.txt"], 3, "reducible, witness I = {1,2}\n"),
+    _case(["check", "diag.txt"], 3, "reducible, witness I = {1,2}\n"),
+    _case(["check", "bad.txt"], 1, "error: line 1: expected header 'm n' with two integers, got 'nope'\n"),
+    _case(["check", "huge.txt"], 1, f"error: line 1: {_ORDER_CAP} 20000000\n"),
+    _case(["check", "too_deep.txt"], 1, f"error: line 1: {_ORDER_CAP} 26\n"),
+    _case(["random", "--m", "3", "--n", "4", "--seed", "7"], 0, "3 4\n1 1 1 6.2509546660466695\n"),
+    _case(["random", "--m", "25", "--n", "1"], 0, "25 1\n" + "1 " * 25 + "6.369616873214543\n"),
+    _case(["random", "--m", "26", "--n", "1"], 1, f"error: {_ORDER_CAP} 26\n"),
+    _case(["random", "--m", "20000000", "--n", "1000"], 1, f"error: {_ORDER_CAP} 20000000\n"),
+    _case(
+        ["random", "--m", "3", "--n", "10000", "--seed", "0"],
+        1,
+        "error: 10000**3 entries exceed the cap of 50000000\n",
+    ),
+    # an empty path is as unusable as any other
+    _case(["solve", "golden.txt", "--trace-csv", ""], 1, "error: [Errno 2] No such file or directory: ''\n"),
+    _case(["random", "--m", "2", "--n", "2", "--out", ""], 1, "error: [Errno 2] No such file or directory: ''\n"),
+    _case(
+        ["random", "--m", "3", "--n", "5", "--out", "missing/x.txt"],
+        1,
+        "error: [Errno 2] No such file or directory: 'missing/x.txt'\n",
+    ),
+]
 
 
 def contract_loops(t: DenseTensor, x) -> np.ndarray:

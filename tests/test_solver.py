@@ -11,10 +11,7 @@ from hypothesis import strategies as st
 import specrad.solver
 import specrad.tensor
 from conftest import (
-    GOLDEN_EIGENVECTOR,
-    GOLDEN_RHO,
     GOLDEN_RHO_EXACT,
-    GOLDEN_TRACE,
     contraction_factor_loops,
     empty_row_tensor,
     golden_b,
@@ -190,31 +187,6 @@ class TestStep:
 
 
 class TestSolveGolden:
-    def test_eigenpair(self, golden):
-        report = solve(golden)
-        assert report.converged
-        assert report.rho == pytest.approx(GOLDEN_RHO, abs=1e-4)
-        assert report.rho_shifted == pytest.approx(GOLDEN_RHO + 1.0, abs=1e-4)
-        assert report.eigenvector == pytest.approx(GOLDEN_EIGENVECTOR, abs=1e-4)
-        assert report.residual <= 1e-6
-
-    def test_trace_matches_frozen_rows(self, golden):
-        report = solve(golden)
-        assert len(report.trace) <= 52
-        for k, (lo, up, gap, mid) in GOLDEN_TRACE.items():
-            row = report.trace[k - 1]
-            assert row.k == k
-            assert row.lower == pytest.approx(lo, rel=1e-5)
-            assert row.upper == pytest.approx(up, rel=1e-5)
-            assert row.gap == pytest.approx(gap, rel=1e-5)
-            assert row.midpoint == pytest.approx(mid, rel=1e-5)
-
-    def test_unshifted_run_does_not_converge(self, golden):
-        report = solve(golden, SolverConfig(alpha=0.0))
-        assert not report.converged
-        assert report.iterations == 100
-        assert report.final_gap > 1e-7
-
     @pytest.mark.parametrize(
         "bracket, shift",
         [
