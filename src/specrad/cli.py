@@ -29,7 +29,11 @@ def run_solve(args) -> int:
     trace = args.trace_csv is not None
     config = SolverConfig(alpha=args.alpha, tol=args.tol, max_iter=args.max_iter, trace=trace)
     tensor = read_tensor(args.path)
+    # every step that can fail comes before the first report line
     report = solve(tensor, config)
+    if config.trace:
+        write_trace_csv(report.trace, args.trace_csv)
+    estimate = power_iteration(add_identity_shift(tensor, args.alpha)) if args.oracle else None
 
     vector = report.eigenvector
     if args.normalize:
@@ -44,17 +48,13 @@ def run_solve(args) -> int:
     print(f"residual = {report.residual:.6g}")
     print(f"eigenvector = {_fmt_vector(vector)}")
 
-    if args.oracle:
-        estimate = power_iteration(add_identity_shift(tensor, args.alpha))
+    if estimate is not None:
         mid = _midpoint(estimate.lower, estimate.upper)
         status = "converged" if estimate.converged else "not converged"
         print(
             f"oracle bracket = [{estimate.lower:.6g}, {estimate.upper:.6g}] "
             f"(mid {mid:.6g}, {estimate.iterations} iterations, {status})"
         )
-
-    if config.trace:
-        write_trace_csv(report.trace, args.trace_csv)
 
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 

@@ -6,8 +6,8 @@ never validate the library against its own code paths.
 ``scripts/parity.py`` imports from here every input it shares with the
 suite, so each has one copy: golden, the sparse, empty-row, positive-matrix
 and chain builders, the parse texts and bad files, the CLI cases and their
-input files, the caller arrays, the vector functions and the out-of-range
-vector calls.  It takes the ``small_solve`` instances from
+input files, the caller arrays, the vector functions and the rejected
+calls.  It takes the ``small_solve`` instances from
 ``perfbench/workloads.py`` instead.  That script may run against another
 checkout's ``specrad``, so this module imports only names the script calls
 itself.
@@ -21,7 +21,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specrad import DenseTensor, add_identity_shift, contract, random_tensor, write_tensor
+from specrad import (
+    DenseTensor,
+    SolverConfig,
+    add_identity_shift,
+    contract,
+    contraction_factor,
+    init_state,
+    power_iteration,
+    random_tensor,
+    reducible_bruteforce,
+    solve,
+    write_tensor,
+)
 from specrad.oracles import collatz_wielandt_bounds
 from specrad.solver import residual
 from specrad.tensor import diagonal_similarity
@@ -204,22 +216,178 @@ VECTOR_FUNCTIONS = {
     "residual": lambda a, x: residual(a, 2.0, x),
 }
 
-# Vector arguments whose contraction is finite but whose ratio or defect
-# leaves the float range: x**(m-1) underflows (a 0/0 and a finite/0 ratio) or
-# value * v**(m-1) overflows.  Each call with its exact ValueError message.
+# Every documented ValueError of the Python API: case name -> (call, exact
+# message).  ``tests/test_package.py`` asserts each row; each name is also
+# the row's case name in ``scripts/parity.py``, where a bare
+# ``add_identity_shift`` value shifts golden.  Shapes are (n, m).
+_GOLDEN = golden_b()
+_RANDOM = random_tensor(3, 3, 0)
+_ONES = DenseTensor(np.ones((2, 2, 2)))
+# finite entries whose row 1 sums past the float range
+_OVERFLOWING = DenseTensor([[1e308, 1e308], [0.0, 1.0]])
+# (2,3) with an all-zero row 1
+_ZERO_ROW = DenseTensor([[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]])
+_FINITE = "tensor entries must be finite"
+_CUBICAL = "tensor must be cubical, got shape"
+_DIMENSION = "dimension must be >= 1, got 0"
+_ORDER_CAP = "order must be between 2 and the cap of 25, got"
+_ENTRY_CAP = "entries exceed the cap of 50000000"
+_LENGTH = "x must have length 3, got shape"
+_OVERFLOW = "row 1 of the contraction overflows; scale the entries or x down"
 _RATIO = "row 1 of the ratio is not finite; x**(m-1) leaves the float range"
-OUT_OF_RANGE = {
+_POSITIVE = "scaling vector entries must be strictly positive"
+_SHIFT = "shift must be finite and nonnegative, got"
+_ALPHA = "alpha must be finite and nonnegative, got"
+_TOL = "tol must be finite and positive, got"
+_SWEEPS = "max_iter must be an integer >= 1, got"
+_ITERATIONS = "max_iter must be an integer >= 0, got"
+_ZERO_SUM = "of the shifted tensor has zero row sum; use a positive alpha or remove zero rows"
+_SUM_OVERFLOWS = "of the shifted tensor has a row sum that overflows; scale the entries down"
+_ORACLE_ZERO_SUM = "of the tensor has zero row sum; power iteration needs positive rows"
+REJECTED_CALLS = {
+    "DenseTensor [[0.0, -1.0], [0.0, 0.0]]": (
+        lambda: DenseTensor([[0.0, -1.0], [0.0, 0.0]]),
+        "tensor entries must be nonnegative",
+    ),
+    "DenseTensor [[nan, 0.0], [0.0, 0.0]]": (lambda: DenseTensor([[np.nan, 0.0], [0.0, 0.0]]), _FINITE),
+    "DenseTensor [[inf, 0.0], [0.0, 0.0]]": (lambda: DenseTensor([[np.inf, 0.0], [0.0, 0.0]]), _FINITE),
+    "DenseTensor [[nan, -1.0], [0.0, 0.0]]": (lambda: DenseTensor([[np.nan, -1.0], [0.0, 0.0]]), _FINITE),
+    "DenseTensor [[-inf, 0.0], [0.0, 0.0]]": (lambda: DenseTensor([[-np.inf, 0.0], [0.0, 0.0]]), _FINITE),
+    # the infinity is named before the negative entry, and so is NaN beside
+    # +inf, although the row sums alone would be inf and NaN
+    "DenseTensor [[inf, -1.0], [0.0, 0.0]]": (lambda: DenseTensor([[np.inf, -1.0], [0.0, 0.0]]), _FINITE),
+    "DenseTensor [[0.0, 0.0], [nan, inf]]": (lambda: DenseTensor([[0.0, 0.0], [np.nan, np.inf]]), _FINITE),
+    "DenseTensor zeros (2, 3)": (lambda: DenseTensor(np.zeros((2, 3))), f"{_CUBICAL} (2, 3)"),
+    "DenseTensor zeros (0, 0)": (lambda: DenseTensor(np.zeros((0, 0))), _DIMENSION),
+    "DenseTensor zeros (0, 0, 0)": (lambda: DenseTensor(np.zeros((0, 0, 0))), _DIMENSION),
+    "DenseTensor zeros (0, 3)": (lambda: DenseTensor(np.zeros((0, 3))), f"{_CUBICAL} (0, 3)"),
+    "DenseTensor zeros (4,)": (lambda: DenseTensor(np.zeros(4)), f"{_ORDER_CAP} 1"),
+    "DenseTensor ones (1,) * 26": (lambda: DenseTensor(np.ones((1,) * 26)), f"{_ORDER_CAP} 26"),
+    "contract random (3,3) at ones(4)": (lambda: contract(_RANDOM, np.ones(4)), f"{_LENGTH} (4,)"),
+    "contract random (3,3) at [1.0, nan, 1.0]": (
+        lambda: contract(_RANDOM, [1.0, np.nan, 1.0]),
+        "x must have finite entries",
+    ),
+    "residual golden at 1.0, ones(4)": (lambda: residual(_GOLDEN, 1.0, np.ones(4)), f"{_LENGTH} (4,)"),
+    "collatz_wielandt_bounds golden at [1.0, 1.0]": (
+        lambda: collatz_wielandt_bounds(_GOLDEN, [1.0, 1.0]),
+        f"{_LENGTH} (2,)",
+    ),
+    "collatz_wielandt_bounds golden at [1.0, 0.0, 1.0]": (
+        lambda: collatz_wielandt_bounds(_GOLDEN, [1.0, 0.0, 1.0]),
+        "x must be strictly positive",
+    ),
+    # construction accepts a row sum past the float range; each function
+    # that contracts a caller's vector names the row
+    "contract overflowing (2,2) at [1.0, 1.0]": (lambda: contract(_OVERFLOWING, [1.0, 1.0]), _OVERFLOW),
+    "residual overflowing (2,2) at 2.0, [1.0, 1.0]": (lambda: residual(_OVERFLOWING, 2.0, [1.0, 1.0]), _OVERFLOW),
+    "collatz_wielandt_bounds overflowing (2,2) at [1.0, 1.0]": (
+        lambda: collatz_wielandt_bounds(_OVERFLOWING, [1.0, 1.0]),
+        _OVERFLOW,
+    ),
+    # the contraction is finite, but x**(m-1) underflows (a 0/0 and a
+    # finite/0 ratio) or value * x**(m-1) overflows
     "collatz_wielandt_bounds ones (2,3) at [1e-200, 1e-200]": (
-        lambda: collatz_wielandt_bounds(DenseTensor(np.ones((2, 2, 2))), [1e-200, 1e-200]),
+        lambda: collatz_wielandt_bounds(_ONES, [1e-200, 1e-200]),
         _RATIO,
     ),
     "collatz_wielandt_bounds ones (2,3) at [1e-200, 1.0]": (
-        lambda: collatz_wielandt_bounds(DenseTensor(np.ones((2, 2, 2))), [1e-200, 1.0]),
+        lambda: collatz_wielandt_bounds(_ONES, [1e-200, 1.0]),
         _RATIO,
     ),
     "residual [[1.0]] at 1e308, [2.0]": (
         lambda: residual(DenseTensor([[1.0]]), 1e308, [2.0]),
         "row 1 of the defect is not finite; scale the value or the vector down",
+    ),
+    # a rescale or a shift past the float range, or a 1/0 rescale
+    "diagonal_similarity random (3,3) by [1e200, 1.0, 1.0]": (
+        lambda: diagonal_similarity(_RANDOM, [1e200, 1.0, 1.0]),
+        _FINITE,
+    ),
+    "diagonal_similarity random (3,3) by [1e-200, 1.0, 1.0]": (
+        lambda: diagonal_similarity(_RANDOM, [1e-200, 1.0, 1.0]),
+        _FINITE,
+    ),
+    "add_identity_shift full (2,2) 1e308 by 1e308": (
+        lambda: add_identity_shift(DenseTensor(np.full((2, 2), 1e308)), 1e308),
+        _FINITE,
+    ),
+    "diagonal_similarity random (3,3) by [1.0, 0.0, 1.0]": (
+        lambda: diagonal_similarity(_RANDOM, [1.0, 0.0, 1.0]),
+        _POSITIVE,
+    ),
+    "diagonal_similarity random (3,3) by [1.0, -2.0, 1.0]": (
+        lambda: diagonal_similarity(_RANDOM, [1.0, -2.0, 1.0]),
+        _POSITIVE,
+    ),
+    "add_identity_shift -1.0": (lambda: add_identity_shift(_GOLDEN, -1.0), f"{_SHIFT} -1.0"),
+    "add_identity_shift inf": (lambda: add_identity_shift(_GOLDEN, np.inf), f"{_SHIFT} inf"),
+    "add_identity_shift nan": (lambda: add_identity_shift(_GOLDEN, np.nan), f"{_SHIFT} nan"),
+    "random_tensor (1000,3)": (lambda: random_tensor(3, 1000, 0), f"1000**3 {_ENTRY_CAP}"),
+    # 64M entries, just over the cap: rejected before anything is allocated
+    "random_tensor (400,3)": (lambda: random_tensor(3, 400, 0), f"400**3 {_ENTRY_CAP}"),
+    # 1000**20000000 has 60 million digits; the order cap comes first
+    "random_tensor (1000,20000000)": (lambda: random_tensor(20_000_000, 1000, 0), f"{_ORDER_CAP} 20000000"),
+    "random_tensor (1,26)": (lambda: random_tensor(26, 1, 0), f"{_ORDER_CAP} 26"),
+    "random_tensor (2,26)": (lambda: random_tensor(26, 2, 0), f"{_ORDER_CAP} 26"),
+    "random_tensor (3,1)": (lambda: random_tensor(1, 3, 0), f"{_ORDER_CAP} 1"),
+    "random_tensor (0,2)": (lambda: random_tensor(2, 0, 0), _DIMENSION),
+    "SolverConfig alpha=-0.5": (lambda: SolverConfig(alpha=-0.5), f"{_ALPHA} -0.5"),
+    "SolverConfig alpha=inf": (lambda: SolverConfig(alpha=np.inf), f"{_ALPHA} inf"),
+    "SolverConfig tol=0.0": (lambda: SolverConfig(tol=0.0), f"{_TOL} 0.0"),
+    "SolverConfig tol=inf": (lambda: SolverConfig(tol=np.inf), f"{_TOL} inf"),
+    "SolverConfig max_iter=0": (lambda: SolverConfig(max_iter=0), f"{_SWEEPS} 0"),
+    "SolverConfig max_iter=2.5": (lambda: SolverConfig(max_iter=2.5), f"{_SWEEPS} 2.5"),
+    # a bool is not a sweep count; numpy 1.23 prints np.True_ as True
+    "SolverConfig max_iter=True": (lambda: SolverConfig(max_iter=True), f"{_SWEEPS} True"),
+    "SolverConfig max_iter=False": (lambda: SolverConfig(max_iter=False), f"{_SWEEPS} False"),
+    "SolverConfig max_iter=np.True_": (lambda: SolverConfig(max_iter=np.True_), f"{_SWEEPS} {np.True_!r}"),
+    "init_state zero row (2,3) alpha=0.0": (
+        lambda: init_state(_ZERO_ROW, SolverConfig(alpha=0.0)),
+        f"row 1 {_ZERO_SUM}",
+    ),
+    "init_state overflowing (2,2)": (lambda: init_state(_OVERFLOWING, SolverConfig()), f"row 1 {_SUM_OVERFLOWS}"),
+    "solve [[0.0, 1.0], [1e308, 1e308]] alpha=0.0": (
+        lambda: solve(DenseTensor([[0.0, 1.0], [1e308, 1e308]]), SolverConfig(alpha=0.0)),
+        f"row 2 {_SUM_OVERFLOWS}",
+    ),
+    # a zero row is named before an earlier row whose sum overflows
+    "init_state [[1e308, 1e308], [0.0, 0.0]] alpha=0.0": (
+        lambda: init_state(DenseTensor([[1e308, 1e308], [0.0, 0.0]]), SolverConfig(alpha=0.0)),
+        f"row 2 {_ZERO_SUM}",
+    ),
+    "contraction_factor ones (2,3)": (
+        lambda: contraction_factor(init_state(_ONES, SolverConfig())),
+        "row sums are constant; contraction factor is undefined",
+    ),
+    "power_iteration zero row (2,3)": (lambda: power_iteration(_ZERO_ROW), f"row 1 {_ORACLE_ZERO_SUM}"),
+    "power_iteration overflowing (2,2)": (
+        lambda: power_iteration(_OVERFLOWING),
+        "row 1 of the tensor has a row sum that overflows; scale the entries down",
+    ),
+    "power_iteration [[1e308, 1e308], [0.0, 0.0]]": (
+        lambda: power_iteration(DenseTensor([[1e308, 1e308], [0.0, 0.0]])),
+        f"row 2 {_ORACLE_ZERO_SUM}",
+    ),
+    "power_iteration golden tol=0.0": (lambda: power_iteration(_GOLDEN, tol=0.0), f"{_TOL} 0.0"),
+    "power_iteration golden tol=inf": (lambda: power_iteration(_GOLDEN, tol=np.inf), f"{_TOL} inf"),
+    "power_iteration golden max_iter=-1": (lambda: power_iteration(_GOLDEN, max_iter=-1), f"{_ITERATIONS} -1"),
+    "power_iteration golden max_iter=1.5": (lambda: power_iteration(_GOLDEN, max_iter=1.5), f"{_ITERATIONS} 1.5"),
+    "power_iteration golden max_iter=1e4": (lambda: power_iteration(_GOLDEN, max_iter=1e4), f"{_ITERATIONS} 10000.0"),
+    "power_iteration golden max_iter='10'": (lambda: power_iteration(_GOLDEN, max_iter="10"), f"{_ITERATIONS} '10'"),
+    "power_iteration golden max_iter=None": (lambda: power_iteration(_GOLDEN, max_iter=None), f"{_ITERATIONS} None"),
+    "power_iteration golden max_iter=True": (lambda: power_iteration(_GOLDEN, max_iter=True), f"{_ITERATIONS} True"),
+    "power_iteration golden max_iter=False": (
+        lambda: power_iteration(_GOLDEN, max_iter=False),
+        f"{_ITERATIONS} False",
+    ),
+    "power_iteration golden max_iter=np.True_": (
+        lambda: power_iteration(_GOLDEN, max_iter=np.True_),
+        f"{_ITERATIONS} {np.True_!r}",
+    ),
+    "reducible_bruteforce ones (21,2)": (
+        lambda: reducible_bruteforce(DenseTensor(np.ones((21, 21)))),
+        "subset scan is capped at dim 20 (got 21); use irreducible_iterative instead",
     ),
 }
 
@@ -262,8 +430,6 @@ _GOLDEN_REPORT = (
     "rho = 5.79262\nrho_shifted = 6.79262\nbounds = [6.79262, 6.79262]\n"
     "gap = 9.51629e-08\niterations = 51\nconverged = yes\n"
 )
-_ORDER_CAP = "order must be between 2 and the cap of 25, got"
-
 # The CLI cases: argv, exit code, expected text (in stderr for exit 1, else
 # in stdout), and the files the command writes with the text each starts
 # with.  ``tests/test_cli.py`` asserts them; ``scripts/parity.py`` records

@@ -58,25 +58,6 @@ class TestPowerIteration:
         assert estimate.converged
         assert estimate.iterations == 0
 
-    def test_rejects_a_tol_that_is_zero_or_infinite(self, golden):
-        for tol in (0.0, float("inf")):
-            with pytest.raises(ValueError, match="tol"):
-                power_iteration(golden, tol=tol)
-
-    def test_zero_row_sum_rejected(self):
-        data = np.zeros((2, 2, 2))
-        data[1, 0, 0] = 1.0
-        with pytest.raises(ValueError, match="row 1.*zero row sum"):
-            power_iteration(DenseTensor(data))
-
-    def test_overflowing_row_sum_rejected(self):
-        with pytest.raises(ValueError, match="row 1 .*row sum that overflows"):
-            power_iteration(DenseTensor([[1e308, 1e308], [0.0, 1.0]]))
-
-    def test_zero_row_is_named_before_an_earlier_overflowing_row(self):
-        with pytest.raises(ValueError, match="row 2 .*zero row sum"):
-            power_iteration(DenseTensor([[1e308, 1e308], [0.0, 0.0]]))
-
     def test_zero_component_reports_non_convergence(self):
         # the second row's mass underflows to an exact zero after a few
         # normalized sweeps; the oracle must hand back its last valid bracket
@@ -200,11 +181,6 @@ class TestPowerIteration:
             assert estimate.iterations == max_iter and not estimate.converged
             assert len(calls) == contractions
 
-    @pytest.mark.parametrize("max_iter", [-1, 1.5, 1e4, "10", None, True, False, np.True_])
-    def test_rejects_a_max_iter_that_is_not_a_nonnegative_integer(self, golden, max_iter):
-        with pytest.raises(ValueError, match="max_iter"):
-            power_iteration(golden, max_iter=max_iter)
-
     def test_zero_max_iter_returns_the_row_sum_bracket(self, golden):
         estimate = power_iteration(golden, max_iter=0)
         sums = row_sums(golden)
@@ -264,14 +240,6 @@ class TestCollatzWielandtBounds:
         lower, upper = collatz_wielandt_bounds(ident, np.array([0.3, 1.0, 2.0]))
         assert lower == pytest.approx(2.5, rel=1e-15)
         assert upper == pytest.approx(2.5, rel=1e-15)
-
-    def test_rejects_nonpositive_vector(self, golden):
-        with pytest.raises(ValueError, match="positive"):
-            collatz_wielandt_bounds(golden, [1.0, 0.0, 1.0])
-
-    def test_rejects_wrong_length(self, golden):
-        with pytest.raises(ValueError, match="length 3"):
-            collatz_wielandt_bounds(golden, [1.0, 1.0])
 
     def test_bounds_narrow_along_the_balancing_run(self, golden):
         # the scaling after k sweeps reproduces the state's own row-sum

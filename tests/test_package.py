@@ -1,4 +1,7 @@
+import pytest
+
 import specrad
+from conftest import REJECTED_CALLS
 
 PUBLIC_NAMES = [
     "DEFAULT_ALPHA",
@@ -33,3 +36,12 @@ def test_public_names_are_pinned_and_resolve():
     assert sorted(specrad.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(specrad, name) is not None
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(("call", "message"), REJECTED_CALLS.values(), ids=REJECTED_CALLS.keys())
+def test_rejected_call(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message

@@ -4,7 +4,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from conftest import BAD_FILES, CLI_CASES, PARITY_CASES
+from conftest import BAD_FILES, CLI_CASES, PARITY_CASES, REJECTED_CALLS
 from test_acceptance import TABLE_SHAPES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,6 +24,8 @@ def test_corpus_names_cover_the_shared_inputs(tmp_path, monkeypatch):
         assert f"read_tensor stream {key}" in names
     for case in CLI_CASES:
         assert f"cli {case.id}" in names
+    for key in REJECTED_CALLS:
+        assert key in names
     for n, m in TABLE_SHAPES:
         for i in range(10):
             assert f"acceptance ({n},{m}) #{i} | build" in names

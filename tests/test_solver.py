@@ -45,25 +45,6 @@ class TestSolverConfig:
         cfg = SolverConfig()
         assert cfg.alpha == 1.0 and cfg.tol == 1e-7 and cfg.max_iter == 100
 
-    def test_validation(self):
-        with pytest.raises(ValueError, match="tol"):
-            SolverConfig(tol=0.0)
-        with pytest.raises(ValueError, match="tol"):
-            SolverConfig(tol=float("inf"))
-        with pytest.raises(ValueError, match="max_iter"):
-            SolverConfig(max_iter=0)
-        with pytest.raises(ValueError, match="alpha"):
-            SolverConfig(alpha=-0.5)
-        with pytest.raises(ValueError, match="alpha"):
-            SolverConfig(alpha=float("inf"))
-        with pytest.raises(ValueError, match="max_iter"):
-            SolverConfig(max_iter=2.5)
-
-    @pytest.mark.parametrize("max_iter", [True, False, np.True_])
-    def test_a_bool_is_not_a_sweep_count(self, max_iter):
-        with pytest.raises(ValueError, match=r"^max_iter must be an integer >= 1, got "):
-            SolverConfig(max_iter=max_iter)
-
     def test_a_numpy_integer_is_a_sweep_count(self, golden):
         assert solve(golden, SolverConfig(max_iter=np.int64(2))).iterations == 2
 
@@ -78,23 +59,6 @@ class TestInitState:
     def test_constant_row_sums_detected_immediately(self):
         state = init_state(DenseTensor(np.ones((2, 2, 2))), SolverConfig())
         assert state.lower == state.upper == 5.0
-
-    def test_zero_row_with_zero_alpha_is_an_error(self):
-        data = np.zeros((2, 2, 2))
-        data[1, 0, 0] = 1.0
-        with pytest.raises(ValueError, match="row 1.*zero row sum"):
-            init_state(DenseTensor(data), SolverConfig(alpha=0.0))
-
-    def test_overflowing_row_sum_is_an_error(self):
-        # finite entries whose sum overflows: named, not a failure mid-sweep
-        with pytest.raises(ValueError, match="row 1 .*row sum that overflows"):
-            init_state(DenseTensor([[1e308, 1e308], [0.0, 1.0]]), SolverConfig())
-        with pytest.raises(ValueError, match="row 2 .*row sum that overflows"):
-            solve(DenseTensor([[0.0, 1.0], [1e308, 1e308]]), SolverConfig(alpha=0.0))
-
-    def test_zero_row_is_named_before_an_earlier_overflowing_row(self):
-        with pytest.raises(ValueError, match="row 2 .*zero row sum"):
-            init_state(DenseTensor([[1e308, 1e308], [0.0, 0.0]]), SolverConfig(alpha=0.0))
 
     def test_accumulator_is_rescaled_ratio(self):
         state = init_state(golden_b(), SolverConfig())
@@ -487,10 +451,6 @@ class TestResidual:
         ident = identity_tensor(3, 3, 2.0)
         assert residual(ident, 2.0, np.ones(3)) == 0.0
 
-    def test_dimension_mismatch(self, golden):
-        with pytest.raises(ValueError, match="length 3"):
-            residual(golden, 1.0, np.ones(4))
-
     @settings(max_examples=15, deadline=None)
     @given(shape=shapes, seed=seeds, alpha=st.sampled_from([0.0, 1.0, 2.5]))
     def test_solve_reports_the_defect_at_its_own_pair(self, shape, seed, alpha):
@@ -542,11 +502,6 @@ class TestContractionFactor:
         shifted = add_identity_shift(state.tensor, state.alpha)
         assert value == pytest.approx(contraction_factor_loops(shifted, state.sums), rel=1e-12)
         assert value == pytest.approx(5 / 12, rel=1e-12)
-
-    def test_undefined_at_constant_row_sums(self):
-        state = init_state(DenseTensor(np.ones((2, 2, 2))), SolverConfig())
-        with pytest.raises(ValueError, match="constant"):
-            contraction_factor(state)
 
     def test_underflow_of_the_next_scaling_raises_as_step_does(self):
         # the zero row's ratio 5e-324 / 2 rounds to 0, so x**(m-1) underflows

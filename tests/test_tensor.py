@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import specrad.tensor
 from conftest import (
     NOT_REAL,
-    OUT_OF_RANGE,
     VECTOR_FUNCTIONS,
     contract_loops,
     diagonal_similarity_loops,
@@ -30,7 +29,6 @@ from specrad import (
     row_sums,
     write_tensor,
 )
-from specrad.oracles import collatz_wielandt_bounds
 from specrad.solver import residual
 from specrad.tensor import (
     MAX_DENSE_ENTRIES,
@@ -78,50 +76,13 @@ def test_a_vector_is_converted_once_per_call(fn, monkeypatch):
 
 
 class TestDenseTensor:
-    def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            DenseTensor([[0.0, -1.0], [0.0, 0.0]])
-
-    def test_rejects_nan_and_inf(self):
-        with pytest.raises(ValueError, match="finite"):
-            DenseTensor([[np.nan, 0.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="finite"):
-            DenseTensor([[np.inf, 0.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="finite"):
-            DenseTensor([[np.nan, -1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="finite"):
-            DenseTensor([[-np.inf, 0.0], [0.0, 0.0]])
-        # +inf with a negative entry still reports the infinity first, and so
-        # does NaN with +inf (the row sums alone would be inf and NaN)
-        with pytest.raises(ValueError, match="finite"):
-            DenseTensor([[np.inf, -1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="finite"):
-            DenseTensor([[0.0, 0.0], [np.nan, np.inf]])
-
     @pytest.mark.filterwarnings("error")
     def test_accepts_finite_entries_whose_row_sum_overflows(self):
         t = DenseTensor([[1e308, 1e308], [0.0, 1.0]])
         assert np.isinf(row_sums(t)[0]) and row_sums(t)[1] == 1.0
 
-    def test_rejects_non_cubical(self):
-        with pytest.raises(ValueError, match="cubical"):
-            DenseTensor(np.zeros((2, 3)))
-
-    def test_zero_size_shapes_get_the_dimension_or_cubical_message(self):
-        for shape in [(0, 0), (0, 0, 0)]:
-            with pytest.raises(ValueError, match=r"^dimension must be >= 1, got 0$"):
-                DenseTensor(np.zeros(shape))
-        with pytest.raises(ValueError, match=r"cubical, got shape \(0, 3\)"):
-            DenseTensor(np.zeros((0, 3)))
-
-    def test_rejects_rank_one(self):
-        with pytest.raises(ValueError, match="order"):
-            DenseTensor(np.zeros(4))
-
-    def test_rejects_an_order_above_the_cap(self):
+    def test_accepts_an_order_at_the_cap(self):
         assert DenseTensor(np.ones((1,) * MAX_ORDER)).order == MAX_ORDER
-        with pytest.raises(ValueError, match=f"cap of {MAX_ORDER}, got {MAX_ORDER + 1}"):
-            DenseTensor(np.ones((1,) * (MAX_ORDER + 1)))
 
     @pytest.mark.filterwarnings("error")
     def test_rejects_complex_entries(self):
@@ -239,48 +200,6 @@ class TestContract:
         strided = np.repeat(x, 2)[::2]
         assert not strided.flags.c_contiguous
         assert np.array_equal(contract(t, strided), out)
-
-    def test_dimension_mismatch(self):
-        a = random_tensor(3, 3, seed=0)
-        with pytest.raises(ValueError, match="length 3"):
-            contract(a, np.ones(4))
-
-    def test_rejects_non_finite_vector(self):
-        a = random_tensor(3, 3, seed=0)
-        with pytest.raises(ValueError, match="finite"):
-            contract(a, [1.0, np.nan, 1.0])
-
-    @pytest.mark.filterwarnings("error")
-    def test_overflow_names_the_row_in_every_vector_function(self):
-        # construction accepts a row sum past the float range; each function
-        # that contracts a caller's vector rejects it, without a warning
-        t = DenseTensor([[1e308, 1e308], [0.0, 1.0]])
-        for call in (
-            lambda: contract(t, [1.0, 1.0]),
-            lambda: residual(t, 2.0, [1.0, 1.0]),
-            lambda: collatz_wielandt_bounds(t, [1.0, 1.0]),
-        ):
-            with pytest.raises(ValueError, match="row 1 of the contraction overflows"):
-                call()
-
-    @pytest.mark.filterwarnings("error")
-    def test_derived_tensor_outside_the_float_range_is_rejected(self):
-        # a rescale or a shift past the float range (or a 1/0 rescale) is an
-        # input error from the tensor checks, without a warning
-        for call in (
-            lambda: diagonal_similarity(random_tensor(3, 3, 0), [1e200, 1.0, 1.0]),
-            lambda: diagonal_similarity(random_tensor(3, 3, 0), [1e-200, 1.0, 1.0]),
-            lambda: add_identity_shift(DenseTensor(np.full((2, 2), 1e308)), 1e308),
-        ):
-            with pytest.raises(ValueError, match="tensor entries must be finite"):
-                call()
-
-    @pytest.mark.filterwarnings("error")
-    def test_ratio_or_defect_outside_the_float_range_names_the_row(self):
-        for call, message in OUT_OF_RANGE.values():
-            with pytest.raises(ValueError) as info:
-                call()
-            assert str(info.value) == message
 
     @settings(max_examples=40, deadline=None)
     @given(shape=shapes, seed=seeds)
@@ -431,13 +350,6 @@ class TestDiagonalSimilarity:
         ]
         assert row_sums(out) == pytest.approx(expected, rel=1e-12)
 
-    def test_rejects_nonpositive_scaling(self):
-        t = random_tensor(3, 3, seed=0)
-        with pytest.raises(ValueError, match="strictly positive"):
-            diagonal_similarity(t, [1.0, 0.0, 1.0])
-        with pytest.raises(ValueError, match="strictly positive"):
-            diagonal_similarity(t, [1.0, -2.0, 1.0])
-
     @pytest.mark.parametrize(("order", "dim"), [(2, 6), (3, 5), (4, 4), (5, 3), (6, 3)])
     def test_matches_scalar_loop_entrywise(self, order, dim):
         t = random_tensor(order, dim, seed=order)
@@ -491,15 +403,6 @@ class TestAddIdentityShift:
         shifted = add_identity_shift(zero, 1.0)
         x = np.array([2.0, 0.5, 3.0])
         assert contract(shifted, x) == pytest.approx(x**2, rel=1e-15)
-
-    def test_rejects_negative_shift(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            add_identity_shift(golden_b(), -1.0)
-
-    def test_rejects_non_finite_shift(self):
-        for alpha in (np.inf, np.nan):
-            with pytest.raises(ValueError, match="shift must be finite and nonnegative"):
-                add_identity_shift(golden_b(), alpha)
 
     @settings(max_examples=20, deadline=None)
     @given(shape=shapes, seed=seeds, alpha=st.floats(min_value=0.0, max_value=5.0))
@@ -578,18 +481,6 @@ class TestRandomTensor:
         t = random_tensor(3, 20, seed=0)
         assert abs(t.data.mean() - 5.0) <= 0.2
 
-    def test_entry_cap(self):
-        with pytest.raises(ValueError, match="1000\\*\\*3 entries exceed the cap"):
-            random_tensor(3, 1000, seed=0)
-        # 64M entries, just over the cap: rejected before anything is allocated
-        with pytest.raises(ValueError, match="cap"):
-            random_tensor(3, 400, 0)
-
-    def test_long_order_is_rejected_without_the_power(self):
-        # 1000**20000000 has 60 million digits; the order cap comes first
-        with pytest.raises(ValueError, match="cap of 25, got 20000000"):
-            random_tensor(20_000_000, 1000, seed=0)
-
     def test_check_shape_rejects_exactly_the_out_of_range_shapes(self):
         for dim in (-1, 0, 1, 2, 3, 10):
             for order in range(1, 41):
@@ -605,12 +496,3 @@ class TestRandomTensor:
         # MAX_ORDER is the highest rank of any array the package holds, on every numpy
         assert MAX_ORDER == 25 == MAX_DENSE_ENTRIES.bit_length() - 1
         assert random_tensor(MAX_ORDER, 1, seed=0).order == MAX_ORDER
-        for dim in (1, 2):
-            with pytest.raises(ValueError, match="order must be between 2 and the cap of 25, got 26"):
-                random_tensor(MAX_ORDER + 1, dim, seed=0)
-
-    def test_bad_shape_arguments(self):
-        with pytest.raises(ValueError, match="order"):
-            random_tensor(1, 3, seed=0)
-        with pytest.raises(ValueError, match="dim"):
-            random_tensor(2, 0, seed=0)
