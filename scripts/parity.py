@@ -32,10 +32,10 @@ The corpus:
 - ``random_tensor(3, 10, 1)`` scaled from ``2**-1000`` to ``1e300``;
 - tensor files: the bulk/per-line parse cases, header and line errors, and
   files read from a path with and without a byte-order mark;
-- caller arrays of every dtype, as tensors and as vector arguments;
 - every rejected call of the suite: each documented ``ValueError`` of the
   Python API;
-- superdiagonal shifts and solver configurations, finite or not, but for
+- caller arrays of every dtype, as tensors and as vector arguments, and
+  superdiagonal shifts and solver configurations, finite or not, but for
   the calls a rejected-call row already records;
 - every CLI case of the suite, each run in a fresh subdirectory of the
   temporary directory: its exit code, stdout, stderr and the text of each
@@ -355,22 +355,22 @@ def cases(directory: Path):
         yield f"read_tensor stream {name}", lambda t=text: read_tensor(io.StringIO(t))
     for name, data in PATH_BYTES.items():
         yield f"read_tensor path {name}", lambda d=data: _read_path(directory / "read.txt", d)
-    square = DenseTensor([[1.0, 2.0], [3.0, 0.5]])
-    for name, make in CALLER_ARRAYS.items():
-        yield f"DenseTensor {name}", lambda f=make: DenseTensor(f())
-        for fn_name, fn in VECTOR_FUNCTIONS.items():
-            yield f"{fn_name} {name}", lambda f=make, fn=fn: fn(square, f()[0])
     for name, (thunk, _) in REJECTED_CALLS.items():
         yield name, thunk
-    numbers = {}
+    square = DenseTensor([[1.0, 2.0], [3.0, 0.5]])
+    calls = {}
+    for name, make in CALLER_ARRAYS.items():
+        calls[f"DenseTensor {name}"] = lambda f=make: DenseTensor(f())
+        for fn_name, fn in VECTOR_FUNCTIONS.items():
+            calls[f"{fn_name} {name}"] = lambda f=make, fn=fn: fn(square, f()[0])
     for alpha in NUMBERS:
-        numbers[f"add_identity_shift {alpha!r}"] = lambda a=alpha: add_identity_shift(golden, a)
-        numbers[f"SolverConfig alpha={alpha!r}"] = lambda a=alpha: SolverConfig(alpha=a)
-        numbers[f"SolverConfig tol={alpha!r}"] = lambda a=alpha: SolverConfig(tol=a)
+        calls[f"add_identity_shift {alpha!r}"] = lambda a=alpha: add_identity_shift(golden, a)
+        calls[f"SolverConfig alpha={alpha!r}"] = lambda a=alpha: SolverConfig(alpha=a)
+        calls[f"SolverConfig tol={alpha!r}"] = lambda a=alpha: SolverConfig(tol=a)
     for max_iter in (0, 1, 2.0, -1, True):
-        numbers[f"SolverConfig max_iter={max_iter!r}"] = lambda k=max_iter: SolverConfig(max_iter=k)
+        calls[f"SolverConfig max_iter={max_iter!r}"] = lambda k=max_iter: SolverConfig(max_iter=k)
     # a call that a rejected-call row records is recorded once, as that row
-    yield from ((name, thunk) for name, thunk in numbers.items() if name not in REJECTED_CALLS)
+    yield from ((name, thunk) for name, thunk in calls.items() if name not in REJECTED_CALLS)
     yield "write_trace_csv golden", lambda: _trace_text(solve(golden).trace)
     for index, case in enumerate(CLI_CASES):
         argv = case.values[0]

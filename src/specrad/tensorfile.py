@@ -31,7 +31,6 @@ import io
 import os
 import stat
 import warnings
-from itertools import islice
 from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
@@ -159,7 +158,7 @@ def write_tensor(tensor: DenseTensor, dest: PathOrFile) -> None:
 
 
 def _entry_rows(tensor: DenseTensor) -> Iterator[str]:
-    """The entry lines, rendered ``2**16`` nonzero entries at a time."""
+    r"""The entry lines, one ``\n``-joined block per ``2**16`` nonzero entries."""
     labels = [f"{i} " for i in range(1, tensor.dim + 1)]
     flat = np.flatnonzero(tensor.entries)
     for start in range(0, flat.size, 2**16):
@@ -168,7 +167,7 @@ def _entry_rows(tensor: DenseTensor) -> Iterator[str]:
         columns = [[labels[i] for i in axis.tolist()] for axis in index]
         # the flat gather is faster than data[index]
         values = map(repr, tensor.entries[chunk].tolist())
-        yield from map("".join, zip(*columns, values))
+        yield "\n".join(map("".join, zip(*columns, values)))
 
 
 def write_trace_csv(trace: Iterable, dest: PathOrFile) -> None:
@@ -178,7 +177,8 @@ def write_trace_csv(trace: Iterable, dest: PathOrFile) -> None:
 
 
 def _write_lines(header: str, rows: Iterator[str], dest: PathOrFile) -> None:
-    """Write ``header``, then ``rows`` one per line, ``2**16`` rows per ``write``.
+    """Write ``header``, then each item of ``rows`` followed by a newline:
+    one ``write`` per item, so an item may hold many lines.
 
     No row is drawn before ``dest`` is open, so a lazy ``rows`` formats
     nothing for a path that cannot be opened.  A path is opened without
@@ -200,8 +200,8 @@ def _write_lines(header: str, rows: Iterator[str], dest: PathOrFile) -> None:
                 if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
                     handle.truncate()
     dest.write(header + "\n")
-    while chunk := list(islice(rows, 2**16)):
-        dest.write("\n".join(chunk) + "\n")
+    for row in rows:
+        dest.write(row + "\n")
 
 
 def _open_in_place(path: str, flags: int) -> int:

@@ -244,6 +244,25 @@ _ITERATIONS = "max_iter must be an integer >= 0, got"
 _ZERO_SUM = "of the shifted tensor has zero row sum; use a positive alpha or remove zero rows"
 _SUM_OVERFLOWS = "of the shifted tensor has a row sum that overflows; scale the entries down"
 _ORACLE_ZERO_SUM = "of the tensor has zero row sum; power iteration needs positive rows"
+# the dtype that the dtype rule's message names for each NOT_REAL array, and
+# the name that each vector function's message gives its argument
+_NOT_REAL_DTYPES = {
+    "complex ndarray": "complex128",
+    "complex list": "complex128",
+    "str list": "<U21",
+    "bytes list": "|S1",
+    "datetime64": "datetime64[s]",
+    "timedelta64": "timedelta64[s]",
+    "object complex": "object",
+    "object str": "object",
+    "object bytes": "object",
+    "object Fraction": "object",
+    "object floats": "object",
+    "list with 10**400": "object",
+    "list with 2**64": "object",
+}
+_ARGUMENTS = {"contract": "x", "diagonal_similarity": "scaling vector", "collatz_wielandt_bounds": "x", "residual": "x"}
+_SQUARE = DenseTensor([[1.0, 2.0], [3.0, 0.5]])
 REJECTED_CALLS = {
     "DenseTensor [[0.0, -1.0], [0.0, 0.0]]": (
         lambda: DenseTensor([[0.0, -1.0], [0.0, 0.0]]),
@@ -263,6 +282,22 @@ REJECTED_CALLS = {
     "DenseTensor zeros (0, 3)": (lambda: DenseTensor(np.zeros((0, 3))), f"{_CUBICAL} (0, 3)"),
     "DenseTensor zeros (4,)": (lambda: DenseTensor(np.zeros(4)), f"{_ORDER_CAP} 1"),
     "DenseTensor ones (1,) * 26": (lambda: DenseTensor(np.ones((1,) * 26)), f"{_ORDER_CAP} 26"),
+    # a tensor takes the whole array, each vector function its row 0
+    **{
+        f"DenseTensor {name}": (
+            lambda f=make: DenseTensor(f()),
+            f"tensor entries must be real numbers, got dtype {_NOT_REAL_DTYPES[name]}",
+        )
+        for name, make in NOT_REAL.items()
+    },
+    **{
+        f"{fn_name} {name}": (
+            lambda f=make, fn=fn: fn(_SQUARE, f()[0]),
+            f"{_ARGUMENTS[fn_name]} must be real numbers, got dtype {_NOT_REAL_DTYPES[name]}",
+        )
+        for name, make in NOT_REAL.items()
+        for fn_name, fn in VECTOR_FUNCTIONS.items()
+    },
     "contract random (3,3) at ones(4)": (lambda: contract(_RANDOM, np.ones(4)), f"{_LENGTH} (4,)"),
     "contract random (3,3) at [1.0, nan, 1.0]": (
         lambda: contract(_RANDOM, [1.0, np.nan, 1.0]),
@@ -524,6 +559,12 @@ CLI_CASES = [
     # an empty path is as unusable as any other
     _case(["solve", "golden.txt", "--trace-csv", ""], 1, "error: [Errno 2] No such file or directory: ''\n"),
     _case(["random", "--m", "2", "--n", "2", "--out", ""], 1, "error: [Errno 2] No such file or directory: ''\n"),
+    # an unusable trace path fails before the first report line
+    _case(
+        ["solve", "golden.txt", "--trace-csv", "missing/tr.csv"],
+        1,
+        "error: [Errno 2] No such file or directory: 'missing/tr.csv'\n",
+    ),
     _case(
         ["random", "--m", "3", "--n", "5", "--out", "missing/x.txt"],
         1,

@@ -331,8 +331,8 @@ def test_a_failing_row_leaves_no_old_tail(tmp_path):
 
     with pytest.raises(RuntimeError, match="render failed"):
         _write_lines("3 1", rows(), path)
-    # the rows of a chunk are written together, so only the header got out
-    assert path.read_text() == "3 1\n"
+    # the header and the row before the failure, then the cut
+    assert path.read_text() == "3 1\n1 1 1 1.0\n"
 
 
 @pytest.fixture(scope="module")
@@ -393,6 +393,24 @@ def test_sparse_roundtrip_matches_reference_writer(shape, seed, density):
     assert buffer.getvalue() == reference_write(t)
     back = read_tensor(io.StringIO(buffer.getvalue()))
     assert back.data.tobytes() == t.data.tobytes()
+
+
+@pytest.mark.parametrize("count", [2**16, 2**16 + 1, 2 * 2**16])
+def test_a_chunk_boundary_writes_the_reference_text(count):
+    # the writer renders 2**16 nonzero entries per block
+    rng = np.random.default_rng(count)
+    flat = np.zeros(512**2)
+    flat[rng.choice(flat.size, count, replace=False)] = rng.uniform(0.5, 2.0, count)
+    t = DenseTensor(flat.reshape(512, 512))
+    assert written_text(write_tensor, t) == reference_write(t)
+
+
+def test_a_long_trace_writes_its_rows_joined_by_hand(tmp_path):
+    rows = trace(2**16 + 1)
+    path = tmp_path / "tr.csv"
+    write_trace_csv(rows, path)
+    lines = (f"{r.k},{r.lower:.6g},{r.upper:.6g},{r.gap:.6g},{r.midpoint:.6g}\n" for r in rows)
+    assert path.read_text() == "k,r,R,gap,mid\n" + "".join(lines)
 
 
 def per_line_read(text):
